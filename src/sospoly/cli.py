@@ -25,6 +25,7 @@ from .interpolation import (
     padua_points,
     scale_to_box,
 )
+from .wsos import NotInteriorError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -212,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, solver=True):
         p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
         if solver:
             p.add_argument("--tol-gap", type=float, default=None)
             p.add_argument("--tol-infeas", type=float, default=None)
@@ -227,6 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_points.add_argument("--deg", type=int, default=None,
                           help="target degree for the fekete family")
     p_points.add_argument("--box", help="JSON [[lo,hi],...] to rescale onto")
+    p_points.add_argument("--format", choices=["json", "csv"], default="json")
     add_common(p_points, solver=False)
     p_points.set_defaults(func=cmd_points)
 
@@ -282,6 +283,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NotInteriorError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -37,6 +37,17 @@ class CorrectorStall(SolverError):
         self.steps = steps
 
 
+# predictor line search: start, expansion factor, cap and floor of the step,
+# bisection passes after bracketing
+ALPHA_START = 0.01
+EXPANSION = 2.0
+ALPHA_CAP = 0.9999
+ALPHA_MIN = 1e-8
+REFINE_BISECTIONS = 3
+# consecutive stalled predictors or corrector phases before NumericalFailure
+MAX_STALLS = 3
+
+
 @dataclass
 class SolverParams:
     """Algorithm parameters; neighborhood values follow the generic safe set."""
@@ -48,13 +59,6 @@ class SolverParams:
     tol_gap: float = 1e-8
     tol_infeas: float = 1e-8
     max_iters: int = 500
-    expansion: float = 2.0       # predictor line-search expansion factor
-    alpha_start: float = 0.01
-    alpha_min: float = 1e-8
-    alpha_cap: float = 0.9999
-    refine_bisections: int = 3   # bisection passes after bracketing
-    fixed_alpha_p: float | None = None  # bypass line search when set
-    max_stalls: int = 3
 
     def __post_init__(self):
         if not (0.0 < self.eta < self.beta < 1.0):
@@ -65,8 +69,21 @@ class SolverParams:
             raise ValueError("tolerances must lie in (0, 1)")
 
 
+def _rank(M):
+    sv = np.linalg.svd(M, compute_uv=False)
+    return int(np.sum(sv > 1e-12 * max(1.0, sv[0])))
+
+
 class ConicProblem:
-    """Standard-form conic problem (A, b, c) over a product of barrier cones."""
+    """Standard-form conic problem (A, b, c) over a product of barrier cones.
+
+    A must have full row rank. ``allow_rank_deficient=True`` admits
+    contradictory rows only, for deliberate infeasibility experiments: the
+    rows of A may be dependent as long as the rows of [A b] are not.
+    Any dependency among the rows of [A b] (redundant rows consistent with
+    b, or more than one contradiction among the same rows) is rejected
+    either way, because the Newton system is singular for it.
+    """
 
     def __init__(self, A, b, c, cone, allow_rank_deficient=False):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -78,13 +95,20 @@ class ConicProblem:
             raise ValueError("inconsistent dimensions among A, b, c")
         if self.cone.dim != N:
             raise ValueError("cone dimension does not match the variable count")
-        self.allow_rank_deficient = allow_rank_deficient
-        if not allow_rank_deficient:
-            sv = np.linalg.svd(self.A, compute_uv=False)
-            if sv[-1] <= 1e-12 * max(1.0, sv[0]):
+        if _rank(self.A) < k:
+            if not allow_rank_deficient:
                 raise ValueError(
                     "A is not full row rank; pass allow_rank_deficient=True "
                     "only for deliberate infeasibility experiments"
+                )
+            # a left null vector w of A with w^T b = 0 makes (0, w, 0) a null
+            # vector of the reduced Newton system; none exists iff the rows
+            # of [A b] are independent
+            if _rank(np.column_stack([self.A, self.b])) < k:
+                raise ValueError(
+                    "the rows of [A b] are linearly dependent, which makes the "
+                    "Newton system singular; drop the dependent rows "
+                    "(allow_rank_deficient admits contradictory rows only)"
                 )
 
     @property
@@ -188,11 +212,6 @@ def try_make_iterate(problem, x, tau, y, s, kappa):
         return None
 
 
-def central_metrics(problem, z: Iterate):
-    """(mu, psi, neighborhood norm) of an iterate; psi = (psi_x, psi_tau)."""
-    return z.mu, (z.psi_x, z.psi_tau), z.nbhd_norm
-
-
 def initial_point(problem: ConicProblem) -> Iterate:
     """Scaled all-ones start: exactly centered, with mu(z0) = 1."""
     N = problem.A.shape[1]
@@ -229,13 +248,16 @@ class _ReducedKKT:
         [ A       0     -b      ] [dy  ] = [f2]
         [ -c^T    b^T  mu/tau^2 ] [dtau]   [f3],
 
-    factored afresh by dense LU with partial pivoting after max-norm
-    equilibration. Explicitly forming the Schur complement A (mu H)^{-1} A^T
-    is avoided on purpose: it squares the Hessian's condition number, which
-    ruins the direction accuracy near convergence. Deliberately
-    rank-deficient A instances get least-squares directions through the
-    pseudo-inverse; the LU path falls back to a diagonal regularization
-    ladder on the dy block if factorization fails unexpectedly.
+    factored afresh by one dense LU with partial pivoting after max-norm
+    equilibration, for every A. The tau row and column border the system,
+    so it stays nonsingular when A has contradictory rows (rows of A
+    dependent, rows of [A b] not), the one rank-deficient input
+    ConicProblem admits. dx is
+    not eliminated through (mu H)^{-1}: H is badly conditioned near
+    convergence, and directions computed that way lose the 1e-9 accuracy
+    that the residual-shrink identity r(z + alpha d) = (1 - alpha) r(z)
+    relies on. A singular factor shows up as non-finite solution values
+    and raises SolverError.
     """
 
     def __init__(self, problem, z: Iterate):
@@ -247,7 +269,8 @@ class _ReducedKKT:
         k, N = A.shape
         self._n, self._k = N, k
         M = np.zeros((N + k + 1, N + k + 1))
-        M[:N, :N] = self.mu * z.barrier.hess_dense()
+        for ev, sl in zip(z.barrier.factor_evals, problem.cone.slices()):
+            M[sl, sl] = self.mu * ev.hessian
         M[:N, N:N + k] = -A.T
         M[:N, -1] = c
         M[N:N + k, :N] = A
@@ -261,38 +284,11 @@ class _ReducedKKT:
         M *= self._rs[:, None]
         self._cs = 1.0 / np.maximum(np.abs(M).max(axis=0), 1e-300)
         M *= self._cs[None, :]
-        if problem.allow_rank_deficient:
-            # deliberately singular A: least-squares directions via the
-            # pseudo-inverse instead of regularized LU
-            self._solver = self._pinv_solver(M)
-        else:
-            self._solver = self._lu_solver(M, N, k)
-
-    def _lu_solver(self, M, N, k):
-        probe = np.ones(M.shape[0])
-        for reg in (0.0, 1e-12, 1e-10, 1e-8, 1e-6):
-            Mr = M if reg == 0.0 else M.copy()
-            if reg > 0.0:
-                scale = reg * self._rs[N:N + k] * self._cs[N:N + k]
-                Mr[N:N + k, N:N + k] += np.diag(scale)
-            try:
-                lu = scipy.linalg.lu_factor(Mr, check_finite=False)
-            except scipy.linalg.LinAlgError:
-                continue
-            if np.all(np.isfinite(scipy.linalg.lu_solve(lu, probe, check_finite=False))):
-                return lambda r: scipy.linalg.lu_solve(lu, r, check_finite=False)
-        raise SolverError("singular reduced Newton system")
-
-    @staticmethod
-    def _pinv_solver(M):
-        Uf, sv, Vt = np.linalg.svd(M)
-        cutoff = 1e-13 * sv[0]
-        inv = np.where(sv > cutoff, 1.0 / np.maximum(sv, cutoff), 0.0)
-        return lambda r: Vt.T @ (inv * (Uf.T @ r))
+        self._lu = scipy.linalg.lu_factor(M, check_finite=False)
 
     def solve_reduced(self, f1, f2, f3):
         rhs = self._rs * np.concatenate([f1, f2, [f3]])
-        sol = self._cs * self._solver(rhs)
+        sol = self._cs * scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
         if not np.all(np.isfinite(sol)):
             raise SolverError("reduced Newton solve produced non-finite values")
         return sol[:self._n], sol[self._n:self._n + self._k], float(sol[-1])
@@ -334,20 +330,15 @@ class _ReducedKKT:
 
 def newton_direction(problem, z: Iterate, rhs_mode: str) -> Direction:
     """Predictor or corrector direction at z (one shared factorization)."""
-    kkt = _ReducedKKT(problem, z)
-    return _direction_for_mode(problem, z, kkt, rhs_mode)
-
-
-def _direction_for_mode(problem, z, kkt, rhs_mode):
     if rhs_mode == "predictor":
         r_p, r_d, r_g = embedding_residual(problem, z)
-        return kkt.solve(-r_p, -r_d, -r_g, -z.s, -z.kappa)
-    if rhs_mode == "corrector":
-        k = problem.A.shape[0]
-        zeros_k = np.zeros(k)
-        zeros_n = np.zeros(problem.A.shape[1])
-        return kkt.solve(zeros_k, zeros_n, 0.0, -z.psi_x, -(z.kappa - z.mu / z.tau))
-    raise ValueError(f"unknown rhs_mode {rhs_mode!r}")
+        rhs = (-r_p, -r_d, -r_g, -z.s, -z.kappa)
+    elif rhs_mode == "corrector":
+        k, N = problem.A.shape
+        rhs = (np.zeros(k), np.zeros(N), 0.0, -z.psi_x, -(z.kappa - z.mu / z.tau))
+    else:
+        raise ValueError(f"unknown rhs_mode {rhs_mode!r}")
+    return _ReducedKKT(problem, z).solve(*rhs)
 
 
 def _step(problem, z: Iterate, d: Direction, alpha: float):
@@ -372,13 +363,13 @@ def predictor_step(problem, z: Iterate, params: SolverParams, direction=None,
                    alpha_init=None) -> PredictorOutcome:
     """Expanding line search for the largest step staying inside N(beta).
 
-    Starts at ``alpha_init`` (``alpha_start`` by default; the solve loop
-    passes the previously accepted step to save barrier evaluations),
-    multiplies by the expansion factor while the trial stays interior and
-    inside the beta-neighborhood (cap 0.9999), shrinks when even the start
-    fails, then sharpens the bracket with a few bisections. A degenerate
-    direction or no acceptable step above ``alpha_min`` is reported as a
-    stall; z is returned unchanged.
+    Starts at ``alpha_init`` (ALPHA_START by default; the solve loop passes
+    the previously accepted step to save barrier evaluations), multiplies by
+    EXPANSION while the trial stays interior and inside the
+    beta-neighborhood (cap ALPHA_CAP), shrinks when even the start fails,
+    then sharpens the bracket with REFINE_BISECTIONS bisections. A
+    degenerate direction or no acceptable step above ALPHA_MIN is reported
+    as a stall; z is returned unchanged.
     """
     if direction is None:
         direction = newton_direction(problem, z, "predictor")
@@ -391,31 +382,25 @@ def predictor_step(problem, z: Iterate, params: SolverParams, direction=None,
             return trial
         return None
 
-    if params.fixed_alpha_p is not None:
-        trial = accept(params.fixed_alpha_p)
-        if trial is None:
-            return PredictorOutcome(z, 0.0, True)
-        return PredictorOutcome(trial, params.fixed_alpha_p, False)
-
-    alpha = min(alpha_init or params.alpha_start, params.alpha_cap)
+    alpha = min(alpha_init or ALPHA_START, ALPHA_CAP)
     trial = accept(alpha)
     while trial is None:
-        alpha /= params.expansion
-        if alpha < params.alpha_min:
+        alpha /= EXPANSION
+        if alpha < ALPHA_MIN:
             return PredictorOutcome(z, 0.0, True)
         trial = accept(alpha)
 
     lo, best = alpha, trial
     hi = None
-    while lo < params.alpha_cap:
-        nxt = min(lo * params.expansion, params.alpha_cap)
+    while lo < ALPHA_CAP:
+        nxt = min(lo * EXPANSION, ALPHA_CAP)
         cand = accept(nxt)
         if cand is None:
             hi = nxt
             break
         lo, best = nxt, cand
     if hi is not None:
-        for _ in range(params.refine_bisections):
+        for _ in range(REFINE_BISECTIONS):
             mid = 0.5 * (lo + hi)
             cand = accept(mid)
             if cand is None:
@@ -440,7 +425,7 @@ def corrector_phase(problem, z: Iterate, params: SolverParams):
         trial = _step(problem, z, d, alpha)
         while trial is None:
             alpha *= 0.5
-            if alpha < params.alpha_min:
+            if alpha < ALPHA_MIN:
                 raise SolverError("corrector step lost the cone interior")
             trial = _step(problem, z, d, alpha)
         z = trial
@@ -513,10 +498,10 @@ def solve(problem: ConicProblem, params: SolverParams | None = None) -> SolveRes
                 stalls += 1
                 trace.append(TraceRecord(it_count, z.mu, 0.0, z.nbhd_norm, 0,
                                          res_before, res_before, stalled=True))
-                if stalls >= params.max_stalls:
+                if stalls >= MAX_STALLS:
                     return _result_from(
                         problem, z, NUMERICAL_FAILURE, None, it_count + 1, trace,
-                        message="predictor stalled: no acceptable step above alpha_min",
+                        message=f"predictor stalled: no acceptable step above {ALPHA_MIN:g}",
                     )
                 continue
             last_alpha = outcome.alpha
@@ -536,7 +521,7 @@ def solve(problem: ConicProblem, params: SolverParams | None = None) -> SolveRes
                 # misses count as stalls like a dead predictor does
                 stalls += 1
                 z, c_steps = exc.iterate, exc.steps
-                if stalls >= params.max_stalls:
+                if stalls >= MAX_STALLS:
                     trace.append(TraceRecord(it_count, z.mu, outcome.alpha,
                                              z.nbhd_norm, c_steps,
                                              res_before, res_after, stalled=True))

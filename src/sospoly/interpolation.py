@@ -211,8 +211,8 @@ def cheb_vandermonde(pts: PointSet, deg: int, normalized: bool = False) -> np.nd
     return cheb_basis_values(pts.points, pts.box, deg, normalized=normalized)
 
 
-def approx_fekete_points(n: int, deg: int, box: BoxDomain | None = None) -> PointSet:
-    """Approximate Fekete points for degree-``deg`` interpolation on a box.
+def approx_fekete_points(n: int, deg: int) -> PointSet:
+    """Approximate Fekete points for degree-``deg`` interpolation on [-1, 1]^n.
 
     Candidates come from the product Chebyshev grid
     C_{2,deg+1} x ... x C_{2,deg+n}; from its Chebyshev Vandermonde, a
@@ -245,12 +245,7 @@ def approx_fekete_points(n: int, deg: int, box: BoxDomain | None = None) -> Poin
     if rdiag.min() <= 1e-12 * rdiag.max():
         raise UnisolvencyError("pivoted QR found a nearly singular row subset")
     selected = np.sort(piv[:U])
-    pts = PointSet(grid[selected], BoxDomain.unit(n))
-    if box is not None and not box.is_unit():
-        pts = scale_to_box(pts, box)
-    elif box is not None:
-        pts = PointSet(pts.points, box)
-    return pts
+    return PointSet(grid[selected], BoxDomain.unit(n))
 
 
 def points_for_degree(n: int, deg: int, box: BoxDomain | None = None) -> PointSet:
@@ -262,7 +257,7 @@ def points_for_degree(n: int, deg: int, box: BoxDomain | None = None) -> PointSe
     elif n == 2:
         pts = padua_points(deg)
     else:
-        return approx_fekete_points(n, deg, box)
+        pts = approx_fekete_points(n, deg)
     if box is not None and not box.is_unit():
         pts = scale_to_box(pts, box)
     elif box is not None:

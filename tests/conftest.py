@@ -1,11 +1,20 @@
 """Shared fixtures: the expensive benchmark solves are done once per session."""
 
+import os
 import time
 
-import numpy as np
-import pytest
+# One BLAS thread, set before numpy loads its BLAS: numpy's and scipy's
+# separate OpenBLAS pools contend for cores on the solver's many small dense
+# operations, and the package itself can pin threads only when threadpoolctl
+# is installed.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-import sospoly as sp
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+import sospoly as sp  # noqa: E402
 
 
 class SolvedInstance:

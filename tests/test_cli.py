@@ -220,6 +220,26 @@ def test_certify_roundtrip(tmp_path):
         assert all(b["min_eigenvalue"] > 0 for b in factor["blocks"])
 
 
+def test_certify_exterior_iterate_exits_numerical(tmp_path, capsys):
+    prob_path = tmp_path / "prob.json"
+    sol_path = tmp_path / "sol.json"
+    assert main(["envelope", "--n", "1", "--d", "4", "--seed", "2",
+                 "--out", str(sol_path), "--problem-out", str(prob_path)]) == 0
+    sol = read_json(sol_path)
+    sol["iterate"]["x"] = [-v for v in sol["iterate"]["x"]]
+    sol_path.write_text(json.dumps(sol))
+    code = main(["certify", "--problem", str(prob_path), "--solution", str(sol_path)])
+    assert code == 4
+    assert "interior" in capsys.readouterr().err
+
+
+def test_format_only_on_points(tmp_path):
+    built = sp.build_envelope(1, 3, 2, seed=5)
+    path = tmp_path / "prob.json"
+    fileio.dump_json(path.as_posix(), fileio.problem_to_dict(built.problem))
+    assert main(["solve", "--problem", str(path), "--format", "csv"]) == 2
+
+
 # ----------------------------------------------------------------------
 # environment and schema helpers
 

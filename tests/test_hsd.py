@@ -8,7 +8,6 @@ from sospoly import hsd
 from sospoly.hsd import (
     ConicProblem,
     SolverParams,
-    central_metrics,
     classify,
     corrector_phase,
     embedding_residual,
@@ -56,13 +55,31 @@ def test_rank_deficient_A_rejected_by_default():
     ConicProblem(A, np.array([1.0, 2.0]), np.ones(5), cone, allow_rank_deficient=True)
 
 
+def test_consistent_rank_deficient_A_rejected():
+    # redundant rows with b in the range of A make the Newton system singular
+    cone = sp.build_cone(sp.cheb2_points(4), [ones_weight], [2])
+    A = np.vstack([np.ones(5), np.ones(5)])
+    with pytest.raises(ValueError, match="dependent"):
+        ConicProblem(A, np.array([1.0, 1.0]), np.ones(5), cone, allow_rank_deficient=True)
+
+
+def test_dependent_contradictory_rows_rejected():
+    # three contradictory rows: b is outside the range of A, but
+    # (1, -2, 1) is a left null vector of A orthogonal to b, so the
+    # rows of [A b] are dependent and the Newton system is singular
+    cone = sp.build_cone(sp.cheb2_points(4), [ones_weight], [2])
+    A = np.vstack([np.ones(5)] * 3)
+    with pytest.raises(ValueError, match="dependent"):
+        ConicProblem(A, np.array([1.0, 2.0, 3.0]), np.ones(5), cone,
+                     allow_rank_deficient=True)
+
+
 # ----------------------------------------------------------------------
 # initialization
 
 
 def test_initial_point_metrics():
     z0 = initial_point(small_problem())
-    mu, (psi_x, psi_tau), norm = central_metrics(small_problem(), z0)
     assert abs(z0.mu - 1.0) <= 1e-12
     assert np.max(np.abs(z0.psi_x)) <= 1e-12
     assert abs(z0.psi_tau) <= 1e-12
@@ -152,6 +169,17 @@ def test_direction_matches_dense_solve_tiny_instance():
     np.testing.assert_allclose(got, sol, rtol=1e-9, atol=1e-12)
 
 
+def test_direction_residual_contradictory_rows(contradictory_rows_solved):
+    # rank-deficient A with b outside its range: the tau border keeps the
+    # reduced system nonsingular, so the LU direction is accurate
+    problem = contradictory_rows_solved.built.problem
+    z0 = initial_point(problem)
+    for mode in ("predictor", "corrector"):
+        assert newton_direction(problem, z0, mode).residual <= 1e-9
+    d = newton_direction(problem, contradictory_rows_solved.result.final, "predictor")
+    assert d.residual <= 1e-9
+
+
 def test_unknown_rhs_mode():
     problem = trivial_problem()
     with pytest.raises(ValueError):
@@ -179,13 +207,6 @@ def test_predictor_zero_direction_stalls():
                          np.zeros(z0.x.size), 0.0, 0.0)
     out = predictor_step(problem, z0, SolverParams(), direction=zero)
     assert out.stalled and out.iterate is z0
-
-
-def test_fixed_alpha_predictor():
-    problem = small_problem()
-    out = predictor_step(problem, initial_point(problem),
-                         SolverParams(fixed_alpha_p=0.05))
-    assert not out.stalled and out.alpha == 0.05
 
 
 def test_corrector_noop_inside_eta():

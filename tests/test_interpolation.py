@@ -165,6 +165,14 @@ def test_generated_points_unisolvent(n, deg):
     assert sv[-1] > 1e-10 * sv[0]
 
 
+def test_fekete_box_rescale_once():
+    box = BoxDomain([0.0, -2.0, 1.0], [1.0, 3.0, 1.5])
+    got = points_for_degree(3, 4, box)
+    want = scale_to_box(approx_fekete_points(3, 4), box)
+    assert np.array_equal(got.points, want.points)
+    assert got.box is box and want.box is box
+
+
 # ----------------------------------------------------------------------
 # affine maps
 
