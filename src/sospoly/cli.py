@@ -47,24 +47,21 @@ class UsageError(Exception):
     pass
 
 
-def _default_tol() -> float:
-    env = os.environ.get("SOLVER_TOL")
-    if env is None:
-        return 1e-8
-    try:
-        tol = float(env)
-    except ValueError as exc:
-        raise UsageError(f"SOLVER_TOL must be a number, got {env!r}") from exc
-    return tol
-
-
 def _solver_params(args) -> hsd.SolverParams:
-    default = _default_tol()
-    tol_gap = default if args.tol_gap is None else args.tol_gap
-    tol_infeas = default if args.tol_infeas is None else args.tol_infeas
+    """SolverParams from the flags and SOLVER_TOL that were given; defaults stay there."""
+    given = {}
+    env = os.environ.get("SOLVER_TOL")
+    if env is not None:
+        try:
+            tol = float(env)
+        except ValueError as exc:
+            raise UsageError(f"SOLVER_TOL must be a number, got {env!r}") from exc
+        given = {"tol_gap": tol, "tol_infeas": tol}
+    for name in ("tol_gap", "tol_infeas", "max_iters"):
+        if getattr(args, name) is not None:
+            given[name] = getattr(args, name)
     try:
-        return hsd.SolverParams(tol_gap=tol_gap, tol_infeas=tol_infeas,
-                                max_iters=args.max_iters)
+        return hsd.SolverParams(**given)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -111,10 +108,9 @@ def cmd_points(args) -> int:
     elif family == "fekete":
         if n is None or n < 1:
             raise UsageError("fekete requires --n")
-        deg = args.deg if args.deg is not None else args.d
-        if deg is None:
-            raise UsageError("fekete requires --deg")
-        pts = approx_fekete_points(n, deg)
+        if args.d is None:
+            raise UsageError("--d is required for the fekete family")
+        pts = approx_fekete_points(n, args.d)
     else:
         raise UsageError(f"unknown family {family!r}")
     if args.box:
@@ -216,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         if solver:
             p.add_argument("--tol-gap", type=float, default=None)
             p.add_argument("--tol-infeas", type=float, default=None)
-            p.add_argument("--max-iters", type=int, default=500)
+            p.add_argument("--max-iters", type=int, default=None)
             p.add_argument("--trace", help="write per-iteration CSV trace here")
 
     p_points = sub.add_parser("points", help="generate interpolation point sets")
@@ -224,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["cheb1", "cheb2", "padua", "fekete"])
     p_points.add_argument("--n", type=int, default=None)
     p_points.add_argument("--d", type=int, default=None)
-    p_points.add_argument("--deg", type=int, default=None,
-                          help="target degree for the fekete family")
     p_points.add_argument("--box", help="JSON [[lo,hi],...] to rescale onto")
     p_points.add_argument("--format", choices=["json", "csv"], default="json")
     add_common(p_points, solver=False)

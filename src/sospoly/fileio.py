@@ -16,7 +16,13 @@ import tempfile
 import numpy as np
 
 from .hsd import ConicProblem, SolveResult
-from .interpolation import BoxDomain, PointSet, points_for_degree
+from .interpolation import (
+    BoxDomain,
+    PointSet,
+    cheb_basis_values,
+    points_for_degree,
+    space_dim,
+)
 from .problems import PolySpec, builtin_poly, chebyshev_poly
 from .wsos import InterpWSOSCone, ProductCone
 
@@ -173,10 +179,13 @@ def load_solution(path: str) -> dict:
 
 
 def write_trace_csv(path: str, trace):
-    rows = ["iter,mu,alpha_p,nbhd_norm,corrector_steps"]
+    rows = ["iter,mu,alpha_p,nbhd_norm,corrector_steps,"
+            "residual_before,residual_after,stalled,corrected"]
     for rec in trace:
         rows.append(f"{rec.iteration},{rec.mu:.17g},{rec.alpha_p:.17g},"
-                    f"{rec.nbhd_norm:.17g},{rec.corrector_steps}")
+                    f"{rec.nbhd_norm:.17g},{rec.corrector_steps},"
+                    f"{rec.residual_before:.17g},{rec.residual_after:.17g},"
+                    f"{int(rec.stalled)},{int(rec.corrected)}")
     write_atomic(path, "\n".join(rows) + "\n")
 
 
@@ -267,18 +276,29 @@ def polyspec_from_dict(data: dict) -> PolySpec:
         except ValueError as exc:
             raise SchemaError(f"coeffs: {exc}") from exc
     # values are taken at the canonical unisolvent set for (n, deg, box);
-    # an explicit "points" array may override it
+    # an explicit "points" array may override it. The fit to Chebyshev
+    # coefficients happens once, here.
     values = _num_list(data.get("values"), "values")
     if "points" in data:
         pts_data = _num_list(data["points"], "points")
         _require(pts_data.ndim == 2 and pts_data.shape[1] == n, "points",
                  "expected an array of n-dimensional coordinates")
-        pts = PointSet(pts_data, box)
+        try:
+            pts = PointSet(pts_data, box)
+        except ValueError as exc:
+            raise SchemaError(f"points: {exc}") from exc
     else:
         pts = points_for_degree(n, deg, box)
+    dim = space_dim(n, deg)
+    _require(pts.U == dim, "points",
+             f"expected dim V_(n,deg) = {dim} interpolation points, got {pts.U}")
     _require(pts.U == values.size, "values",
              f"need one value per interpolation point ({pts.U})")
-    return PolySpec("values", n, deg, box, values=values, points=pts)
+    V = cheb_basis_values(pts.points, box, deg)
+    sv = np.linalg.svd(V, compute_uv=False)
+    _require(sv[-1] > 1e-12 * sv[0], "points",
+             f"not unisolvent for degree {deg} (interpolation matrix is singular)")
+    return chebyshev_poly(n, deg, np.linalg.solve(V, values), box)
 
 
 def load_polyspec(path: str) -> PolySpec:

@@ -28,15 +28,13 @@ class SolverError(RuntimeError):
     """Unrecoverable numerical failure inside the solver."""
 
 
-class CorrectorStall(SolverError):
-    """Corrector phase ended outside N(eta); carries the best iterate reached."""
-
-    def __init__(self, message, iterate, steps):
-        super().__init__(message)
-        self.iterate = iterate
-        self.steps = steps
-
-
+# neighborhood radii of the corrector (ETA) and predictor (BETA) phases, the
+# corrector step length and the most corrector steps per phase: the fixed
+# safe set of the Skajaa-Ye method
+ETA = 0.0305
+BETA = 0.2387
+ALPHA_C = 1.0
+R_C = 4
 # predictor line search: start, expansion factor, cap and floor of the step,
 # bisection passes after bracketing
 ALPHA_START = 0.01
@@ -44,27 +42,19 @@ EXPANSION = 2.0
 ALPHA_CAP = 0.9999
 ALPHA_MIN = 1e-8
 REFINE_BISECTIONS = 3
-# consecutive stalled predictors or corrector phases before NumericalFailure
+# consecutive corrector phases ending outside N(ETA) before NumericalFailure
 MAX_STALLS = 3
 
 
 @dataclass
 class SolverParams:
-    """Algorithm parameters; neighborhood values follow the generic safe set."""
+    """Stopping rule: gap and infeasibility tolerances and the iteration limit."""
 
-    eta: float = 0.0305          # corrector-phase neighborhood radius
-    beta: float = 0.2387         # predictor-phase neighborhood radius
-    alpha_c: float = 1.0         # corrector step length
-    r_c: int = 4                 # max corrector steps per phase
     tol_gap: float = 1e-8
     tol_infeas: float = 1e-8
     max_iters: int = 500
 
     def __post_init__(self):
-        if not (0.0 < self.eta < self.beta < 1.0):
-            raise ValueError("need 0 < eta < beta < 1")
-        if self.alpha_c <= 0 or self.r_c < 1:
-            raise ValueError("need alpha_c > 0 and r_c >= 1")
         if not (0.0 < self.tol_gap < 1.0 and 0.0 < self.tol_infeas < 1.0):
             raise ValueError("tolerances must lie in (0, 1)")
 
@@ -160,7 +150,7 @@ class TraceRecord:
     corrector_steps: int
     residual_before: float
     residual_after: float
-    stalled: bool = False
+    stalled: bool = False   # predictor found no step, or corrector ended outside N(ETA)
     corrected: bool = True  # False when the run ended right after this predictor
 
 
@@ -359,17 +349,19 @@ class PredictorOutcome:
     stalled: bool
 
 
-def predictor_step(problem, z: Iterate, params: SolverParams, direction=None,
+def predictor_step(problem, z: Iterate, direction=None,
                    alpha_init=None) -> PredictorOutcome:
-    """Expanding line search for the largest step staying inside N(beta).
+    """Expanding line search for the largest step staying inside N(BETA).
 
     Starts at ``alpha_init`` (ALPHA_START by default; the solve loop passes
     the previously accepted step to save barrier evaluations), multiplies by
     EXPANSION while the trial stays interior and inside the
-    beta-neighborhood (cap ALPHA_CAP), shrinks when even the start fails,
-    then sharpens the bracket with REFINE_BISECTIONS bisections. A
-    degenerate direction or no acceptable step above ALPHA_MIN is reported
-    as a stall; z is returned unchanged.
+    beta-neighborhood (cap ALPHA_CAP), halves when even the start fails,
+    then sharpens the bracket with REFINE_BISECTIONS bisections. Once a
+    halving is accepted, the step rejected just before it closes the
+    bracket, so no step is tried twice. A degenerate direction or no
+    acceptable step above ALPHA_MIN is reported as a stall; z is returned
+    unchanged.
     """
     if direction is None:
         direction = newton_direction(problem, z, "predictor")
@@ -378,27 +370,28 @@ def predictor_step(problem, z: Iterate, params: SolverParams, direction=None,
 
     def accept(a):
         trial = _step(problem, z, direction, a)
-        if trial is not None and trial.in_neighborhood(params.beta):
+        if trial is not None and trial.in_neighborhood(BETA):
             return trial
         return None
 
     alpha = min(alpha_init or ALPHA_START, ALPHA_CAP)
+    hi = None
     trial = accept(alpha)
     while trial is None:
+        hi = alpha
         alpha /= EXPANSION
         if alpha < ALPHA_MIN:
             return PredictorOutcome(z, 0.0, True)
         trial = accept(alpha)
 
     lo, best = alpha, trial
-    hi = None
-    while lo < ALPHA_CAP:
+    while hi is None and lo < ALPHA_CAP:
         nxt = min(lo * EXPANSION, ALPHA_CAP)
         cand = accept(nxt)
         if cand is None:
             hi = nxt
-            break
-        lo, best = nxt, cand
+        else:
+            lo, best = nxt, cand
     if hi is not None:
         for _ in range(REFINE_BISECTIONS):
             mid = 0.5 * (lo + hi)
@@ -410,18 +403,16 @@ def predictor_step(problem, z: Iterate, params: SolverParams, direction=None,
     return PredictorOutcome(best, lo, False)
 
 
-def corrector_phase(problem, z: Iterate, params: SolverParams):
-    """Re-center with up to r_c corrector steps; early exit once inside N(eta)."""
+def corrector_phase(problem, z: Iterate):
+    """Re-center with up to R_C corrector steps; early exit once inside N(ETA).
+
+    Returns the last iterate and the number of steps taken; the iterate is
+    outside N(ETA) when R_C steps did not suffice.
+    """
     steps = 0
-    while not z.in_neighborhood(params.eta):
-        if steps >= params.r_c:
-            raise CorrectorStall(
-                f"corrector failed to reach N(eta) in {params.r_c} steps "
-                f"(norm {z.nbhd_norm:.3e} vs {params.eta * z.mu:.3e})",
-                z, steps,
-            )
+    while steps < R_C and not z.in_neighborhood(ETA):
         d = newton_direction(problem, z, "corrector")
-        alpha = params.alpha_c
+        alpha = ALPHA_C
         trial = _step(problem, z, d, alpha)
         while trial is None:
             alpha *= 0.5
@@ -485,7 +476,7 @@ def solve(problem: ConicProblem, params: SolverParams | None = None) -> SolveRes
     except NotInteriorError as exc:
         return SolveResult(status=NUMERICAL_FAILURE, message=str(exc))
 
-    stalls = 0
+    misses = 0
     last_alpha = None
     for it_count in range(params.max_iters):
         decided = classify(problem, z, params)
@@ -493,17 +484,14 @@ def solve(problem: ConicProblem, params: SolverParams | None = None) -> SolveRes
             return _result_from(problem, z, decided[0], decided[1], it_count, trace)
         try:
             res_before = embedding_residual_norm(problem, z)
-            outcome = predictor_step(problem, z, params, alpha_init=last_alpha)
+            outcome = predictor_step(problem, z, alpha_init=last_alpha)
             if outcome.stalled:
-                stalls += 1
                 trace.append(TraceRecord(it_count, z.mu, 0.0, z.nbhd_norm, 0,
                                          res_before, res_before, stalled=True))
-                if stalls >= MAX_STALLS:
-                    return _result_from(
-                        problem, z, NUMERICAL_FAILURE, None, it_count + 1, trace,
-                        message=f"predictor stalled: no acceptable step above {ALPHA_MIN:g}",
-                    )
-                continue
+                return _result_from(
+                    problem, z, NUMERICAL_FAILURE, None, it_count + 1, trace,
+                    message=f"predictor stalled: no acceptable step above {ALPHA_MIN:g}",
+                )
             last_alpha = outcome.alpha
             z = outcome.iterate
             res_after = embedding_residual_norm(problem, z)
@@ -513,22 +501,18 @@ def solve(problem: ConicProblem, params: SolverParams | None = None) -> SolveRes
                                          0, res_before, res_after, corrected=False))
                 return _result_from(problem, z, decided[0], decided[1],
                                     it_count + 1, trace)
-            try:
-                z, c_steps = corrector_phase(problem, z, params)
-                stalls = 0
-            except CorrectorStall as exc:
-                # keep going from the best re-centered point; repeated
-                # misses count as stalls like a dead predictor does
-                stalls += 1
-                z, c_steps = exc.iterate, exc.steps
-                if stalls >= MAX_STALLS:
-                    trace.append(TraceRecord(it_count, z.mu, outcome.alpha,
-                                             z.nbhd_norm, c_steps,
-                                             res_before, res_after, stalled=True))
-                    return _result_from(problem, z, NUMERICAL_FAILURE, None,
-                                        it_count + 1, trace, message=str(exc))
+            # a miss continues from the last corrector iterate
+            z, c_steps = corrector_phase(problem, z)
+            missed = not z.in_neighborhood(ETA)
+            misses = misses + 1 if missed else 0
             trace.append(TraceRecord(it_count, z.mu, outcome.alpha, z.nbhd_norm,
-                                     c_steps, res_before, res_after))
+                                     c_steps, res_before, res_after, stalled=missed))
+            if misses >= MAX_STALLS:
+                return _result_from(
+                    problem, z, NUMERICAL_FAILURE, None, it_count + 1, trace,
+                    message=f"corrector failed to reach N(eta) in {R_C} steps "
+                            f"(norm {z.nbhd_norm:.3e} vs {ETA * z.mu:.3e})",
+                )
         except SolverError as exc:
             return _result_from(problem, z, NUMERICAL_FAILURE, None, it_count + 1,
                                 trace, message=str(exc))

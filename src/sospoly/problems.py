@@ -56,11 +56,10 @@ _BUILTINS = {
 
 @dataclass(frozen=True)
 class PolySpec:
-    """A polynomial given by Chebyshev coefficients, a builtin name, or values.
+    """A polynomial given by Chebyshev coefficients or a builtin name.
 
     Chebyshev coefficients are in the graded-lex tensor basis mapped to the
-    polynomial's box. The ``values`` kind stores evaluations at a unisolvent
-    point set and interpolates on demand.
+    polynomial's box.
     """
 
     kind: str
@@ -69,8 +68,6 @@ class PolySpec:
     box: BoxDomain
     coeffs: np.ndarray = None
     name: str = None
-    values: np.ndarray = None
-    points: PointSet = None
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -78,13 +75,7 @@ class PolySpec:
             return _BUILTINS[self.name][0](points)
         if self.kind == "chebyshev":
             return cheb_basis_values(points, self.box, self.degree) @ self.coeffs
-        if self.kind == "values":
-            return cheb_basis_values(points, self.box, self.degree) @ self._fit_coeffs()
         raise ValueError(f"unknown PolySpec kind {self.kind!r}")
-
-    def _fit_coeffs(self) -> np.ndarray:
-        V = cheb_basis_values(self.points.points, self.box, self.degree)
-        return np.linalg.solve(V, self.values)
 
     def to_chebyshev(self) -> "PolySpec":
         """Equivalent chebyshev-coefficient representation (by interpolation)."""

@@ -22,6 +22,11 @@ import scipy.linalg
 
 from .wsos import InterpWSOSCone
 
+# most negative LDL pivot a PSD Gram block may show, and the eigenvalue floor
+# below which sos_terms calls a block not PSD rather than round-off
+PIVOT_TOL = 1e-10
+EIG_CLIP = 1e-10
+
 
 @dataclass
 class GramCertificate:
@@ -153,7 +158,7 @@ def _compensated_adjoint_sum(cone: InterpWSOSCone, grams) -> np.ndarray:
     return out
 
 
-def _ldl_min_pivot(S: np.ndarray, pivot_tol: float) -> tuple[bool, float]:
+def _ldl_min_pivot(S: np.ndarray) -> tuple[bool, float]:
     """PSD check via LDL: smallest eigenvalue over the 1x1/2x2 pivot blocks."""
     _, D, _ = scipy.linalg.ldl(S)
     min_pivot = math.inf
@@ -167,11 +172,11 @@ def _ldl_min_pivot(S: np.ndarray, pivot_tol: float) -> tuple[bool, float]:
         else:
             min_pivot = min(min_pivot, float(D[j, j]))
             j += 1
-    return min_pivot >= -pivot_tol, min_pivot
+    return min_pivot >= -PIVOT_TOL, min_pivot
 
 
 def verify_certificate(cone: InterpWSOSCone, s, cert: GramCertificate,
-                       tol: float = 1e-8, pivot_tol: float = 1e-10) -> VerificationReport:
+                       tol: float = 1e-8) -> VerificationReport:
     """Independent certificate check in compensated floating point.
 
     Recomputes the adjoint identity sum_i Lambda_i^*(S_i) = s with exact
@@ -185,26 +190,25 @@ def verify_certificate(cone: InterpWSOSCone, s, cert: GramCertificate,
     block_psd = []
     block_min_pivot = []
     for S in cert.grams:
-        ok, piv = _ldl_min_pivot(S, pivot_tol)
+        ok, piv = _ldl_min_pivot(S)
         block_psd.append(ok)
         block_min_pivot.append(piv)
     passed = bool(all(block_psd) and residual <= tol * (1.0 + np.linalg.norm(s, np.inf)))
     return VerificationReport(passed, residual, pointwise, block_psd, block_min_pivot)
 
 
-def sos_terms(cert: GramCertificate, cone: InterpWSOSCone,
-              clip: float = 1e-10) -> SosDecomposition:
+def sos_terms(cert: GramCertificate, cone: InterpWSOSCone) -> SosDecomposition:
     """Split each Gram matrix into explicit squared-polynomial coefficients.
 
-    Eigenvalues in [-clip, 0) are treated as round-off and clipped to zero;
-    anything below -clip means the block is genuinely not PSD.
+    Eigenvalues in [-EIG_CLIP, 0) are treated as round-off and clipped to
+    zero; anything below -EIG_CLIP means the block is genuinely not PSD.
     """
     terms = []
     for S in cert.grams:
         eigvals, eigvecs = np.linalg.eigh(S)
-        if eigvals[0] < -clip:
+        if eigvals[0] < -EIG_CLIP:
             raise ValueError(
-                f"Gram block is not PSD (eigenvalue {eigvals[0]:.3e} < -{clip:.0e})"
+                f"Gram block is not PSD (eigenvalue {eigvals[0]:.3e} < -{EIG_CLIP:.0e})"
             )
         eigvals = np.clip(eigvals, 0.0, None)
         keep = eigvals > 0.0

@@ -214,12 +214,6 @@ class ProductCone:
     def slices(self):
         return [slice(self.offsets[i], self.offsets[i + 1]) for i in range(len(self.factors))]
 
-    def in_interior(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        return all(
-            f.in_interior(x[sl]) is not None for f, sl in zip(self.factors, self.slices())
-        )
-
     def barrier(self, x: np.ndarray) -> "ProductBarrierEval":
         x = np.asarray(x, dtype=float)
         evals = [f.barrier(x[sl]) for f, sl in zip(self.factors, self.slices())]
@@ -239,11 +233,6 @@ class ProductBarrierEval:
     def hess_apply(self, v: np.ndarray) -> np.ndarray:
         return np.concatenate(
             [e.hess_apply(v[sl]) for e, sl in zip(self.factor_evals, self.cone.slices())]
-        )
-
-    def hess_inv_apply(self, v: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [e.hess_inv_apply(v[sl]) for e, sl in zip(self.factor_evals, self.cone.slices())]
         )
 
     def inv_quadform(self, v: np.ndarray) -> float:

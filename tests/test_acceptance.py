@@ -7,7 +7,7 @@ PASS/FAIL verdict per criterion.
 import numpy as np
 
 import sospoly as sp
-from sospoly.hsd import SolverParams, initial_point
+from sospoly.hsd import ETA, initial_point
 from sospoly.interpolation import (
     approx_fekete_points,
     box_quadrature_weights,
@@ -229,7 +229,6 @@ def test_criterion_6_interpolation():
 
 def test_criterion_7_embedding_invariants(envelope_1d_100, envelope_small):
     z0 = initial_point(envelope_1d_100.built.problem)
-    params = SolverParams()
     shrink_dev, nbhd_ok = 0.0, True
     for inst in (envelope_1d_100, envelope_small):
         for rec in inst.result.trace:
@@ -239,7 +238,7 @@ def test_criterion_7_embedding_invariants(envelope_1d_100, envelope_small):
             shrink_dev = max(shrink_dev,
                              abs(rec.residual_after - expected) / (1 + rec.residual_before))
             if rec.corrected:
-                nbhd_ok = nbhd_ok and rec.nbhd_norm <= params.eta * rec.mu * (1 + 1e-9)
+                nbhd_ok = nbhd_ok and rec.nbhd_norm <= ETA * rec.mu * (1 + 1e-9)
     checks = [
         (abs(z0.mu - 1.0) <= 1e-12, f"mu(z0)-1={z0.mu - 1.0:.2e}"),
         (max(np.max(np.abs(z0.psi_x)), abs(z0.psi_tau)) <= 1e-12,

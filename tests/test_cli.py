@@ -41,7 +41,7 @@ def test_points_padua(tmp_path, capsys):
 
 def test_points_fekete(tmp_path, capsys):
     out = tmp_path / "fek.json"
-    code = main(["points", "--family", "fekete", "--n", "3", "--deg", "12",
+    code = main(["points", "--family", "fekete", "--n", "3", "--d", "12",
                  "--out", str(out)])
     assert code == 0
     assert capsys.readouterr().out.strip() == "455"
@@ -88,7 +88,8 @@ def test_envelope_solves_and_writes(tmp_path, capsys):
     assert sol["residuals"]["primal_infeasibility"] <= 1e-8
     assert "iterate" in sol and "timestamp" in sol
     lines = trace.read_text().strip().splitlines()
-    assert lines[0] == "iter,mu,alpha_p,nbhd_norm,corrector_steps"
+    assert lines[0] == ("iter,mu,alpha_p,nbhd_norm,corrector_steps,"
+                        "residual_before,residual_after,stalled,corrected")
     assert len(lines) == sol["iterations"] + 1
 
 
@@ -269,6 +270,38 @@ def test_polyspec_schema_errors():
                                    "box": {"lower": [-1.0], "upper": [1.0]}})
     with pytest.raises(SchemaError):
         fileio.polyspec_from_dict({"kind": "builtin", "name": "nosuch"})
+
+
+def _values_spec(n, deg, values, points=None):
+    spec = {"kind": "values", "n": n, "deg": deg, "values": list(values),
+            "box": {"lower": [-1.0] * n, "upper": [2.0] * n}}
+    if points is not None:
+        spec["points"] = [list(p) for p in points]
+    return spec
+
+
+def test_values_polyspec_fits_chebyshev_coefficients():
+    n, deg = 2, 3
+    box = sp.BoxDomain([-1.0] * n, [2.0] * n)
+    coeffs = np.random.default_rng(3).uniform(-1.0, 1.0, sp.space_dim(n, deg))
+    pts = sp.points_for_degree(n, deg, box).points
+    values = sp.chebyshev_poly(n, deg, coeffs, box)(pts)
+    spec = fileio.polyspec_from_dict(_values_spec(n, deg, values))
+    assert spec.kind == "chebyshev"
+    np.testing.assert_allclose(spec.coeffs, coeffs, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("points", [
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.0]],       # 5 of 6
+    [[t, t] for t in (-1.0, -0.5, 0.0, 0.5, 1.0, 1.5)],               # collinear
+])
+def test_values_polyspec_points_checked_at_load(tmp_path, points):
+    spec = _values_spec(2, 2, np.arange(len(points), dtype=float), points)
+    with pytest.raises(SchemaError, match="^points"):
+        fileio.polyspec_from_dict(spec)
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps(spec))
+    assert main(["polymin", "--poly", str(poly)]) == 2
 
 
 def test_problem_dict_roundtrip_values():

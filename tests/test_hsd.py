@@ -40,10 +40,6 @@ def trivial_problem():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        SolverParams(eta=0.5, beta=0.2)
-    with pytest.raises(ValueError):
-        SolverParams(r_c=0)
-    with pytest.raises(ValueError):
         SolverParams(tol_gap=2.0)
 
 
@@ -107,8 +103,7 @@ def test_mu_scales_quadratically():
 
 def test_neighborhood_norm_matches_dense_formula():
     problem = small_problem(seed=5)
-    params = SolverParams()
-    z = predictor_step(problem, initial_point(problem), params).iterate
+    z = predictor_step(problem, initial_point(problem)).iterate
     H = z.barrier.hess_dense()
     Hbar = np.zeros((H.shape[0] + 1, H.shape[0] + 1))
     Hbar[:-1, :-1] = H
@@ -192,12 +187,11 @@ def test_unknown_rhs_mode():
 
 def test_predictor_accepts_reasonable_step():
     problem = sp.build_envelope(1, 5, 2, seed=0).problem
-    params = SolverParams()
-    out = predictor_step(problem, initial_point(problem), params)
+    out = predictor_step(problem, initial_point(problem))
     assert not out.stalled
     assert out.alpha >= 0.01
     assert out.iterate.mu < 1.0
-    assert out.iterate.in_neighborhood(params.beta)
+    assert out.iterate.in_neighborhood(hsd.BETA)
 
 
 def test_predictor_zero_direction_stalls():
@@ -205,30 +199,50 @@ def test_predictor_zero_direction_stalls():
     z0 = initial_point(problem)
     zero = hsd.Direction(np.zeros(z0.x.size), 0.0, np.zeros(problem.A.shape[0]),
                          np.zeros(z0.x.size), 0.0, 0.0)
-    out = predictor_step(problem, z0, SolverParams(), direction=zero)
+    out = predictor_step(problem, z0, direction=zero)
     assert out.stalled and out.iterate is z0
+
+
+@pytest.mark.parametrize("alpha_init", [None, hsd.ALPHA_CAP])
+def test_predictor_never_tries_a_step_twice(monkeypatch, alpha_init):
+    # from the cap the first trial leaves N(beta), so the search halves;
+    # the step rejected before the accepted halving must not be tried again
+    problem = small_problem()
+    z0 = initial_point(problem)
+    tried = []
+    step = hsd._step
+
+    def recording_step(problem, z, d, alpha):
+        tried.append(alpha)
+        return step(problem, z, d, alpha)
+
+    monkeypatch.setattr(hsd, "_step", recording_step)
+    out = predictor_step(problem, z0, alpha_init=alpha_init)
+    assert not out.stalled
+    assert len(tried) == len(set(tried))
+    if alpha_init is not None:
+        assert out.alpha < alpha_init / 2     # the search did shrink
 
 
 def test_corrector_noop_inside_eta():
     problem = small_problem()
     z0 = initial_point(problem)           # exactly centered
-    z, steps = corrector_phase(problem, z0, SolverParams())
+    z, steps = corrector_phase(problem, z0)
     assert steps == 0 and z is z0
 
 
 def test_corrector_recenters_within_r_c():
     problem = sp.build_envelope(1, 5, 2, seed=1).problem
-    params = SolverParams()
     z = initial_point(problem)
     seen_recenter = False
     for _ in range(6):
-        out = predictor_step(problem, z, params)
+        out = predictor_step(problem, z)
         zp = out.iterate
-        if not zp.in_neighborhood(params.eta):
+        if not zp.in_neighborhood(hsd.ETA):
             seen_recenter = True
-            z2, steps = corrector_phase(problem, zp, params)
-            assert 1 <= steps <= params.r_c
-            assert z2.in_neighborhood(params.eta)
+            z2, steps = corrector_phase(problem, zp)
+            assert 1 <= steps <= hsd.R_C
+            assert z2.in_neighborhood(hsd.ETA)
             # mu moves only modestly during correction
             assert 0.5 <= z2.mu / zp.mu <= 2.0
             z = z2
@@ -275,11 +289,10 @@ def test_residual_linearity(envelope_small):
 
 
 def test_neighborhood_invariant(envelope_small):
-    params = SolverParams()
     for rec in envelope_small.result.trace:
         if rec.stalled or not rec.corrected:
             continue
-        assert rec.nbhd_norm <= params.eta * rec.mu * (1 + 1e-9)
+        assert rec.nbhd_norm <= hsd.ETA * rec.mu * (1 + 1e-9)
 
 
 def test_primal_infeasible_detection(contradictory_rows_solved):
@@ -291,6 +304,42 @@ def test_primal_infeasible_detection(contradictory_rows_solved):
     assert by > 0
     assert np.linalg.norm(p.A.T @ z.y + z.s) <= 1e-8 * by
     assert r.iterations <= 100
+
+
+def test_corrector_miss_is_marked_stalled(contradictory_rows_solved):
+    # the corrector misses N(eta) once, at iteration 19; the solve goes on
+    # from the last corrector iterate and still detects infeasibility
+    r = contradictory_rows_solved.result
+    assert r.status == hsd.PRIMAL_INFEASIBLE and r.iterations == 21
+    assert [rec.iteration for rec in r.trace if rec.stalled] == [19]
+    rec = r.trace[19]
+    assert rec.iteration == 19 and rec.corrected
+    assert rec.nbhd_norm > hsd.ETA * rec.mu
+
+
+def test_predictor_stall_ends_solve(monkeypatch):
+    problem = small_problem()
+
+    def stalled(problem, z, direction=None, alpha_init=None):
+        return hsd.PredictorOutcome(z, 0.0, True)
+
+    monkeypatch.setattr(hsd, "predictor_step", stalled)
+    r = sp.solve(problem)
+    assert r.status == hsd.NUMERICAL_FAILURE
+    assert r.iterations == 1
+    assert len(r.trace) == 1 and r.trace[0].stalled
+    assert "predictor stalled" in r.message
+
+
+def test_repeated_corrector_misses_end_solve(monkeypatch):
+    # skipping the corrector leaves each predictor iterate outside N(eta)
+    problem = small_problem()
+    monkeypatch.setattr(hsd, "corrector_phase", lambda problem, z: (z, 0))
+    r = sp.solve(problem)
+    assert r.status == hsd.NUMERICAL_FAILURE
+    assert r.iterations == hsd.MAX_STALLS
+    assert [rec.stalled for rec in r.trace] == [True] * hsd.MAX_STALLS
+    assert "corrector failed to reach N(eta)" in r.message
 
 
 def test_dual_infeasible_detection():
