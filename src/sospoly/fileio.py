@@ -150,6 +150,7 @@ def solution_to_dict(result: SolveResult) -> dict:
             "gap": result.rel_gap,
         },
         "iterations": result.iterations,
+        "jittered_iterates": result.jittered_iterates,
         "message": result.message,
     }
     if result.x is not None:

@@ -169,6 +169,7 @@ class SolveResult:
     final: Iterate = None
     trace: list = field(default_factory=list)
     message: str = ""
+    jittered_iterates: int = 0  # accepted iterates whose Hessian Cholesky needed jitter
 
 
 OPTIMAL = "Optimal"
@@ -406,10 +407,11 @@ def predictor_step(problem, z: Iterate, direction=None,
 def corrector_phase(problem, z: Iterate):
     """Re-center with up to R_C corrector steps; early exit once inside N(ETA).
 
-    Returns the last iterate and the number of steps taken; the iterate is
-    outside N(ETA) when R_C steps did not suffice.
+    Returns the last iterate, the number of steps taken and how many of the
+    iterates stepped to needed Hessian jitter; the last iterate is outside
+    N(ETA) when R_C steps did not suffice.
     """
-    steps = 0
+    steps = jittered = 0
     while steps < R_C and not z.in_neighborhood(ETA):
         d = newton_direction(problem, z, "corrector")
         alpha = ALPHA_C
@@ -421,7 +423,8 @@ def corrector_phase(problem, z: Iterate):
             trial = _step(problem, z, d, alpha)
         z = trial
         steps += 1
-    return z, steps
+        jittered += z.barrier.jittered
+    return z, steps, jittered
 
 
 def classify(problem, z: Iterate, params: SolverParams):
@@ -447,9 +450,13 @@ def classify(problem, z: Iterate, params: SolverParams):
     return None
 
 
-def _result_from(problem, z: Iterate, status, metrics, iterations, trace, message=""):
+def _result_from(problem, z: Iterate, status, metrics, iterations, trace,
+                 jittered, message=""):
     rel_p, rel_d, rel_gap = metrics if metrics is not None else (math.nan,) * 3
     scale = z.tau if (status == OPTIMAL and z.tau > 0) else 1.0
+    if jittered:
+        note = f"Hessian jitter at {jittered} accepted iterate(s)"
+        message = f"{message}; {note}" if message else note
     return SolveResult(
         status=status,
         primal_objective=float(problem.c @ z.x) / z.tau if z.tau > 0 else math.nan,
@@ -464,6 +471,7 @@ def _result_from(problem, z: Iterate, status, metrics, iterations, trace, messag
         final=z,
         trace=trace,
         message=message,
+        jittered_iterates=jittered,
     )
 
 
@@ -477,11 +485,13 @@ def solve(problem: ConicProblem, params: SolverParams | None = None) -> SolveRes
         return SolveResult(status=NUMERICAL_FAILURE, message=str(exc))
 
     misses = 0
+    jittered = int(z.barrier.jittered)
     last_alpha = None
     for it_count in range(params.max_iters):
         decided = classify(problem, z, params)
         if decided is not None:
-            return _result_from(problem, z, decided[0], decided[1], it_count, trace)
+            return _result_from(problem, z, decided[0], decided[1], it_count, trace,
+                                jittered)
         try:
             res_before = embedding_residual_norm(problem, z)
             outcome = predictor_step(problem, z, alpha_init=last_alpha)
@@ -489,36 +499,39 @@ def solve(problem: ConicProblem, params: SolverParams | None = None) -> SolveRes
                 trace.append(TraceRecord(it_count, z.mu, 0.0, z.nbhd_norm, 0,
                                          res_before, res_before, stalled=True))
                 return _result_from(
-                    problem, z, NUMERICAL_FAILURE, None, it_count + 1, trace,
+                    problem, z, NUMERICAL_FAILURE, None, it_count + 1, trace, jittered,
                     message=f"predictor stalled: no acceptable step above {ALPHA_MIN:g}",
                 )
             last_alpha = outcome.alpha
             z = outcome.iterate
+            jittered += z.barrier.jittered
             res_after = embedding_residual_norm(problem, z)
             decided = classify(problem, z, params)
             if decided is not None:
                 trace.append(TraceRecord(it_count, z.mu, outcome.alpha, z.nbhd_norm,
                                          0, res_before, res_after, corrected=False))
                 return _result_from(problem, z, decided[0], decided[1],
-                                    it_count + 1, trace)
+                                    it_count + 1, trace, jittered)
             # a miss continues from the last corrector iterate
-            z, c_steps = corrector_phase(problem, z)
+            z, c_steps, c_jittered = corrector_phase(problem, z)
+            jittered += c_jittered
             missed = not z.in_neighborhood(ETA)
             misses = misses + 1 if missed else 0
             trace.append(TraceRecord(it_count, z.mu, outcome.alpha, z.nbhd_norm,
                                      c_steps, res_before, res_after, stalled=missed))
             if misses >= MAX_STALLS:
                 return _result_from(
-                    problem, z, NUMERICAL_FAILURE, None, it_count + 1, trace,
+                    problem, z, NUMERICAL_FAILURE, None, it_count + 1, trace, jittered,
                     message=f"corrector failed to reach N(eta) in {R_C} steps "
                             f"(norm {z.nbhd_norm:.3e} vs {ETA * z.mu:.3e})",
                 )
         except SolverError as exc:
             return _result_from(problem, z, NUMERICAL_FAILURE, None, it_count + 1,
-                                trace, message=str(exc))
+                                trace, jittered, message=str(exc))
 
     decided = classify(problem, z, params)
     if decided is not None:
-        return _result_from(problem, z, decided[0], decided[1], params.max_iters, trace)
+        return _result_from(problem, z, decided[0], decided[1], params.max_iters, trace,
+                            jittered)
     return _result_from(problem, z, ITERATION_LIMIT, None, params.max_iters, trace,
-                        message="iteration limit reached")
+                        jittered, message="iteration limit reached")

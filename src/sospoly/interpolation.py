@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from . import _threads
 
@@ -211,6 +211,29 @@ def cheb_vandermonde(pts: PointSet, deg: int, normalized: bool = False) -> np.nd
     return cheb_basis_values(pts.points, pts.box, deg, normalized=normalized)
 
 
+def _tensor_basis_values(axes, deg: int) -> np.ndarray:
+    """``cheb_basis_values`` on the product grid of ``axes``, without the grid.
+
+    Row r is the grid point whose per-axis indices are
+    ``np.unravel_index(r, [a.size for a in axes])`` (last axis fastest), so
+    each column is the Kronecker product of per-axis Chebyshev tables. The
+    products are taken left to right, as in ``cheb_basis_values``, and the
+    axes go through the same ``BoxDomain.to_unit`` map, so the values agree
+    bit for bit. Returns shape (N, dim V_{n,deg}) in C order.
+    """
+    unit = BoxDomain.unit(1)
+    tables = [_cheb_values_1d(unit.to_unit(ax[:, None])[:, 0], deg) for ax in axes]
+    exps = np.array(graded_lex_exponents(len(axes), deg))
+    values = np.ascontiguousarray(tables[0][:, exps[:, 0]])
+    for k in range(1, len(axes)):
+        factor = tables[k][:, exps[:, k]]
+        # C order, so that the reshape is a view and the result's transpose
+        # is Fortran ordered
+        values = np.multiply(values[:, None, :], factor[None, :, :], order="C")
+        values = values.reshape(-1, exps.shape[0])
+    return values
+
+
 def approx_fekete_points(n: int, deg: int) -> PointSet:
     """Approximate Fekete points for degree-``deg`` interpolation on [-1, 1]^n.
 
@@ -225,27 +248,26 @@ def approx_fekete_points(n: int, deg: int) -> PointSet:
     U = space_dim(n, deg)
     axes = [np.cos(np.arange(d + 1) * np.pi / d) for d in range(deg + 1, deg + n + 1)]
     sizes = [a.size for a in axes]
-    N = int(np.prod(sizes))
-    assert N >= U, "candidate grid smaller than target dimension"
+    assert math.prod(sizes) >= U, "candidate grid smaller than target dimension"
 
-    grid = np.empty((N, n))
-    for k, ax in enumerate(axes):
-        reps_inner = int(np.prod(sizes[k + 1:]))
-        reps_outer = N // (sizes[k] * reps_inner)
-        grid[:, k] = np.tile(np.repeat(ax, reps_inner), reps_outer)
-
-    V = cheb_basis_values(grid, BoxDomain.unit(n), deg)
-    # pivoted QR on V^T selects the largest-residual-norm row at each step,
-    # first index on exact ties (LAPACK geqp3)
+    # V^T is Fortran ordered, so LAPACK factors it in place; the pivoted QR
+    # selects the largest-residual-norm row of V at each step, first index on
+    # exact ties. The workspace comes from the lwork=-1 query, as in
+    # scipy.linalg.qr: another size changes the blocking, and with it the
+    # pivots on near ties.
+    VT = _tensor_basis_values(axes, deg).T
+    geqp3 = scipy.linalg.lapack.dgeqp3
     with _threads.blas_parallel():
-        _, R, piv = scipy.linalg.qr(
-            np.asfortranarray(V.T), mode="economic", pivoting=True, overwrite_a=True
-        )
-    rdiag = np.abs(np.diag(R)[:U])
+        work = geqp3(VT, lwork=-1, overwrite_a=1)[-2]
+        qr, jpvt, _, _, info = geqp3(VT, lwork=int(work[0].real), overwrite_a=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dgeqp3")
+    rdiag = np.abs(np.diag(qr))
     if rdiag.min() <= 1e-12 * rdiag.max():
         raise UnisolvencyError("pivoted QR found a nearly singular row subset")
-    selected = np.sort(piv[:U])
-    return PointSet(grid[selected], BoxDomain.unit(n))
+    selected = np.unravel_index(np.sort(jpvt[:U] - 1), sizes)  # 1-based pivots
+    return PointSet(np.column_stack([ax[i] for ax, i in zip(axes, selected)]),
+                    BoxDomain.unit(n))
 
 
 def points_for_degree(n: int, deg: int, box: BoxDomain | None = None) -> PointSet:

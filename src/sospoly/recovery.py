@@ -146,15 +146,49 @@ def lower_bound_certificate(cone: InterpWSOSCone, iterate, c, lb,
     return GramCertificate(grams, residual, min_eigs, z.mu / z.tau**2), s_cert
 
 
+# the compensated adjoint sum takes its points in chunks of about this many
+# terms, which bounds its scratch arrays
+_SUM_CHUNK_TERMS = 1 << 18
+
+
+def _sum2_rows(P: np.ndarray) -> np.ndarray:
+    """Compensated sum of each row of P (destroyed), Sum2 over a pairwise tree.
+
+    Each pass adds the two halves of the remaining columns with TwoSum
+    (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 2005), an odd column
+    carried over; the exact rounding errors are summed on the side and
+    added once at the end. The result is as accurate as if summed in twice
+    the working precision and then rounded:
+    |result - sum| <= eps |sum| + gamma_{m-1}^2 sum |p|, m terms per row.
+    """
+    err = np.zeros(P.shape[0])
+    m = P.shape[1]
+    while m > 1:
+        h = m // 2
+        a, b = P[:, :h], P[:, h:2 * h]
+        t = a + b
+        z = t - a
+        err += ((a - (t - z)) + (b - z)).sum(axis=1)
+        a[...] = t
+        if m % 2:
+            P[:, h] = P[:, m - 1]
+        m = h + m % 2
+    return P[:, 0] + err
+
+
 def _compensated_adjoint_sum(cone: InterpWSOSCone, grams) -> np.ndarray:
-    """sum_i diag(Ptilde_i S_i Ptilde_i^T) with exact (fsum) accumulation."""
+    """sum_i diag(Ptilde_i S_i Ptilde_i^T) with compensated (Sum2) accumulation.
+
+    Every term is the rounded product (B[u, a] * S[a, b]) * B[u, b]; the
+    terms of one point are summed by :func:`_sum2_rows`, chunks of points
+    at a time.
+    """
+    chunk = max(1, _SUM_CHUNK_TERMS // sum(S.size for S in grams))
     out = np.empty(cone.U)
-    for u in range(cone.U):
-        parts = []
-        for B, S in zip(cone.blocks, grams):
-            row = B[u]
-            parts.extend((row[:, None] * S * row[None, :]).ravel())
-        out[u] = math.fsum(parts)
+    for lo in range(0, cone.U, chunk):
+        terms = [((B[lo:lo + chunk, :, None] * S) * B[lo:lo + chunk, None, :])
+                 .reshape(-1, S.size) for B, S in zip(cone.blocks, grams)]
+        out[lo:lo + chunk] = _sum2_rows(np.concatenate(terms, axis=1))
     return out
 
 
@@ -179,8 +213,8 @@ def verify_certificate(cone: InterpWSOSCone, s, cert: GramCertificate,
                        tol: float = 1e-8) -> VerificationReport:
     """Independent certificate check in compensated floating point.
 
-    Recomputes the adjoint identity sum_i Lambda_i^*(S_i) = s with exact
-    summation and tests positive semidefiniteness of each block via LDL
+    Recomputes the adjoint identity sum_i Lambda_i^*(S_i) = s with
+    compensated (Sum2) summation and tests positive semidefiniteness of each block via LDL
     factorization; the pointwise identity is reported at all U points.
     """
     s = np.asarray(s, dtype=float)

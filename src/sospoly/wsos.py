@@ -127,6 +127,9 @@ class BarrierEval:
     hessian: np.ndarray
     lambda_chols: list
     _hess_chol: np.ndarray = None
+    # relative diagonal shift (times the mean diagonal of H) that hess_chol
+    # needed: 0.0 for a plain Cholesky, None until hess_chol has run
+    hess_jitter: float | None = None
 
     @property
     def hess_chol(self) -> np.ndarray:
@@ -134,6 +137,7 @@ class BarrierEval:
             H = self.hessian
             try:
                 self._hess_chol = np.linalg.cholesky(H)
+                self.hess_jitter = 0.0
             except np.linalg.LinAlgError:
                 # H is PSD up to round-off but its accumulated entries can
                 # miss positive definiteness marginally at late iterates;
@@ -143,6 +147,7 @@ class BarrierEval:
                 for eps in (1e-14, 1e-12, 1e-10):
                     try:
                         self._hess_chol = np.linalg.cholesky(H + eps * scale * eye)
+                        self.hess_jitter = eps
                         break
                     except np.linalg.LinAlgError:
                         continue
@@ -239,6 +244,11 @@ class ProductBarrierEval:
         return sum(
             e.inv_quadform(v[sl]) for e, sl in zip(self.factor_evals, self.cone.slices())
         )
+
+    @property
+    def jittered(self) -> bool:
+        """Whether a factor's Hessian Cholesky so far needed a diagonal shift."""
+        return any(e.hess_jitter for e in self.factor_evals)
 
     def hess_dense(self) -> np.ndarray:
         H = np.zeros((self.cone.dim, self.cone.dim))

@@ -13,8 +13,15 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 
 import sospoly as sp  # noqa: E402
+
+# property tests draw the same bounded set of examples on every run and keep
+# no example database
+settings.register_profile("sospoly", derandomize=True, deadline=None,
+                          max_examples=25, database=None)
+settings.load_profile("sospoly")
 
 
 class SolvedInstance:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sospoly as sp
-from sospoly import hsd
+from sospoly import fileio, hsd
 from sospoly.hsd import (
     ConicProblem,
     SolverParams,
@@ -227,7 +227,7 @@ def test_predictor_never_tries_a_step_twice(monkeypatch, alpha_init):
 def test_corrector_noop_inside_eta():
     problem = small_problem()
     z0 = initial_point(problem)           # exactly centered
-    z, steps = corrector_phase(problem, z0)
+    z, steps, _ = corrector_phase(problem, z0)
     assert steps == 0 and z is z0
 
 
@@ -240,7 +240,7 @@ def test_corrector_recenters_within_r_c():
         zp = out.iterate
         if not zp.in_neighborhood(hsd.ETA):
             seen_recenter = True
-            z2, steps = corrector_phase(problem, zp)
+            z2, steps, _ = corrector_phase(problem, zp)
             assert 1 <= steps <= hsd.R_C
             assert z2.in_neighborhood(hsd.ETA)
             # mu moves only modestly during correction
@@ -334,12 +334,38 @@ def test_predictor_stall_ends_solve(monkeypatch):
 def test_repeated_corrector_misses_end_solve(monkeypatch):
     # skipping the corrector leaves each predictor iterate outside N(eta)
     problem = small_problem()
-    monkeypatch.setattr(hsd, "corrector_phase", lambda problem, z: (z, 0))
+    monkeypatch.setattr(hsd, "corrector_phase", lambda problem, z: (z, 0, 0))
     r = sp.solve(problem)
     assert r.status == hsd.NUMERICAL_FAILURE
     assert r.iterations == hsd.MAX_STALLS
     assert [rec.stalled for rec in r.trace] == [True] * hsd.MAX_STALLS
     assert "corrector failed to reach N(eta)" in r.message
+
+
+def test_hessian_jitter_is_counted_and_reported(monkeypatch):
+    problem = small_problem()
+    clean = sp.solve(problem)
+    assert clean.status == hsd.OPTIMAL
+
+    # fail the first Hessian Cholesky, the start point's, once
+    U = problem.cone.factors[0].U
+    cholesky = np.linalg.cholesky
+    failed = []
+
+    def fail_first_hessian(a):
+        if a.shape == (U, U) and not failed:
+            failed.append(True)
+            raise np.linalg.LinAlgError("forced")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail_first_hessian)
+    r = sp.solve(problem)
+    assert failed
+    assert r.status == hsd.OPTIMAL
+    count = clean.jittered_iterates + 1
+    assert r.jittered_iterates == count
+    assert r.message == f"Hessian jitter at {count} accepted iterate(s)"
+    assert fileio.solution_to_dict(r)["jittered_iterates"] == count
 
 
 def test_dual_infeasible_detection():

@@ -1,9 +1,11 @@
 """Point generators, Vandermonde matrices, orthonormalization, quadrature."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sospoly.interpolation import (
     BoxDomain,
@@ -22,6 +24,7 @@ from sospoly.interpolation import (
     scale_to_box,
     space_dim,
 )
+from sospoly.interpolation import _tensor_basis_values
 
 RT2 = math.sqrt(2.0) / 2.0
 
@@ -163,6 +166,31 @@ def test_generated_points_unisolvent(n, deg):
     assert V.shape[0] == V.shape[1]
     sv = np.linalg.svd(V, compute_uv=False)
     assert sv[-1] > 1e-10 * sv[0]
+
+
+def _candidate_grid(n, deg):
+    """The Fekete candidate axes and their explicit product grid, last axis fastest."""
+    axes = [np.cos(np.arange(d + 1) * np.pi / d) for d in range(deg + 1, deg + n + 1)]
+    return axes, np.array(list(itertools.product(*axes)))
+
+
+@pytest.mark.parametrize("n,deg", [(1, 2), (1, 9), (2, 4), (3, 3), (4, 2)])
+def test_tensor_candidate_matrix_equals_basis_values(n, deg):
+    axes, grid = _candidate_grid(n, deg)
+    V = _tensor_basis_values(axes, deg)
+    assert V.flags.c_contiguous
+    assert np.array_equal(V, cheb_basis_values(grid, BoxDomain.unit(n), deg))
+
+
+@pytest.mark.parametrize("n,deg", [(1, 2), (2, 4), (3, 6), (3, 8), (4, 4)])
+def test_fekete_matches_explicit_grid_qr(n, deg):
+    # the algorithm written out: explicit grid, its Vandermonde, scipy's
+    # pivoted QR of the transpose, the first U pivots in index order
+    axes, grid = _candidate_grid(n, deg)
+    V = cheb_basis_values(grid, BoxDomain.unit(n), deg)
+    _, _, piv = scipy.linalg.qr(V.T, mode="economic", pivoting=True)
+    want = grid[np.sort(piv[:space_dim(n, deg)])]
+    assert np.array_equal(approx_fekete_points(n, deg).points, want)
 
 
 def test_fekete_box_rescale_once():

@@ -1,0 +1,127 @@
+"""Property tests: barrier and adjoint identities, JSON round-trips."""
+
+import json
+import math
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import sospoly as sp
+from sospoly import fileio, hsd
+from sospoly.hsd import initial_point
+
+
+def ones_weight(t):
+    return np.ones(t.shape[0])
+
+
+def box_weight(t):
+    return (1.0 - t[:, 0]) * (t[:, 0] + 1.0)
+
+
+# small cones covering one and two variables, weighted and unweighted blocks
+CONES = [
+    sp.build_cone(sp.cheb2_points(6), [ones_weight], [3]),
+    sp.build_cone(sp.cheb2_points(8), [box_weight, ones_weight], [3, 4]),
+    sp.build_cone(sp.padua_points(4), [box_weight, ones_weight], [1, 2]),
+]
+
+cone_index = st.integers(0, len(CONES) - 1)
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+def vector(size, elements=finite):
+    return arrays(np.float64, size, elements=elements)
+
+
+@st.composite
+def interior_points(draw):
+    """A cone and a point x > 0 at every interpolation point (interior)."""
+    cone = CONES[draw(cone_index)]
+    logs = draw(vector(cone.U, st.floats(-3.0, 3.0)))
+    return cone, np.exp(logs)
+
+
+@given(interior_points())
+def test_barrier_log_homogeneity_identities(case):
+    cone, x = case
+    ev = cone.barrier(x)
+    g = ev.gradient
+    assert abs(x @ g + cone.nu) <= 1e-9 * cone.nu
+    Hx = ev.hessian @ x
+    assert np.linalg.norm(Hx + g) <= 1e-9 * np.linalg.norm(g)
+
+
+@st.composite
+def adjoint_cases(draw):
+    """A cone, a block index, any x and a symmetric matrix of the block's size."""
+    cone = CONES[draw(cone_index)]
+    i = draw(st.integers(0, len(cone.blocks) - 1))
+    L = cone.dims[i]
+    x = draw(vector(cone.U))
+    G = draw(vector((L, L)))
+    return cone, i, x, 0.5 * (G + G.T)
+
+
+@given(adjoint_cases())
+def test_lambda_adjointness(case):
+    cone, i, x, S = case
+    lhs = float(np.sum(cone.lambda_op(i, x) * S))
+    rhs = float(x @ cone.lambda_adjoint(i, S))
+    B = cone.blocks[i]
+    scale = np.abs(x) @ np.sum(B * B, axis=1) * np.max(np.abs(S))
+    assert abs(lhs - rhs) <= 1e-12 * (1.0 + scale)
+
+
+@st.composite
+def problems(draw):
+    cone = CONES[draw(cone_index)]
+    k = draw(st.integers(1, 3))
+    A = draw(vector((k, cone.U)))
+    A[:, 0] += 1e4 * np.arange(1, k + 1)   # rows independent whatever was drawn
+    A[np.arange(k), np.arange(1, k + 1)] += 1e4
+    return sp.ConicProblem(A, draw(vector(k)), draw(vector(cone.U)), cone)
+
+
+@given(problems())
+def test_problem_json_round_trip(problem):
+    text = json.dumps(fileio.problem_to_dict(problem))
+    back = fileio.problem_from_dict(json.loads(text))
+    assert np.array_equal(back.A, problem.A)
+    assert np.array_equal(back.b, problem.b)
+    assert np.array_equal(back.c, problem.c)
+    for got, want in zip(back.cone.factors, problem.cone.factors):
+        assert len(got.blocks) == len(want.blocks)
+        for gb, wb in zip(got.blocks, want.blocks):
+            assert np.array_equal(gb, wb)
+
+
+SMALL_PROBLEM = sp.build_envelope(1, 3, 2, seed=1).problem
+START = initial_point(SMALL_PROBLEM)
+N, K = SMALL_PROBLEM.shape[1], SMALL_PROBLEM.shape[0]
+maybe_nan = st.one_of(finite, st.just(math.nan))
+
+
+@given(st.sampled_from([hsd.OPTIMAL, hsd.PRIMAL_INFEASIBLE, hsd.NUMERICAL_FAILURE]),
+       maybe_nan, maybe_nan, st.integers(0, 500), st.integers(0, 500),
+       st.text(max_size=40), vector(N), vector(K), vector(N))
+def test_solution_json_round_trip(tmp_path_factory, status, pobj, gap, iters,
+                                  jittered, message, x, y, s):
+    result = sp.SolveResult(status=status, primal_objective=pobj, rel_gap=gap,
+                            iterations=iters, x=x, y=y, s=s, final=START,
+                            message=message, jittered_iterates=jittered)
+    path = tmp_path_factory.mktemp("solution") / "sol.json"
+    fileio.dump_json(str(path), fileio.solution_to_dict(result))
+    data = fileio.load_solution(str(path))
+    assert (data["status"], data["iterations"], data["jittered_iterates"],
+            data["message"]) == (status, iters, jittered, message)
+    assert np.array_equal([data["primal_objective"], data["dual_objective"],
+                           data["residuals"]["gap"]], [pobj, math.nan, gap],
+                          equal_nan=True)
+    for key, want in (("x", x), ("y", y), ("s", s)):
+        assert np.array_equal(data[key], want)
+        assert np.array_equal(data["iterate"][key], getattr(START, key))
+    for key in ("tau", "kappa", "mu"):
+        assert data["iterate"][key] == getattr(START, key)

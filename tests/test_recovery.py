@@ -1,6 +1,7 @@
 """Gram certificate recovery, verification, and SOS decompositions."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 import sospoly as sp
 from sospoly.hsd import initial_point
 from sospoly.recovery import (
+    _compensated_adjoint_sum,
+    _sum2_rows,
     lower_bound_certificate,
     recover_gram,
     sos_terms,
@@ -184,6 +187,55 @@ def test_butcher_lower_bound_workflow(butcher_solved):
     report = verify_certificate(factor, s_cert, cert)
     assert report.passed
     assert report.adjoint_residual <= 1e-8 * (1 + np.linalg.norm(s_cert, np.inf))
+
+
+def _fsum_adjoint(cone, grams):
+    """The adjoint sum term by term, (B[u,a] * S[a,b]) * B[u,b], with math.fsum."""
+    out = np.empty(cone.U)
+    for u in range(cone.U):
+        parts = []
+        for B, S in zip(cone.blocks, grams):
+            row = B[u]
+            parts.extend((row[:, None] * S * row[None, :]).ravel())
+        out[u] = math.fsum(parts)
+    return out
+
+
+def test_compensated_sum_within_an_ulp_of_fsum(envelope_small, envelope_1d_100,
+                                              butcher_solved):
+    certs = []
+    for solved in (envelope_small, envelope_1d_100):
+        z, cone = solved.result.final, solved.built.cone
+        for factor, ev, sl in zip(cone.factors, z.barrier.factor_evals, cone.slices()):
+            certs.append((factor, recover_gram(factor, z.x[sl], z.s[sl], z.mu,
+                                               barrier=ev)))
+    r, built = butcher_solved.result, butcher_solved.built
+    certs.append((built.cone.factors[0], lower_bound_certificate(
+        built.cone.factors[0], r.final, built.problem.c, r.dual_objective - 1e-9,
+        barrier=r.final.barrier.factor_evals[0])[0]))
+    for factor, cert in certs:
+        want = _fsum_adjoint(factor, cert.grams)
+        got = _compensated_adjoint_sum(factor, cert.grams)
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+
+def test_sum2_bound_under_heavy_cancellation():
+    # rows of large terms that cancel to a small sum, condition number ~1e16
+    rng = np.random.default_rng(31)
+    rows, m = 40, 301
+    big = rng.standard_normal((rows, m // 2)) * 10.0 ** rng.integers(0, 16, (rows, m // 2))
+    small = rng.standard_normal((rows, m - 2 * (m // 2)))
+    P = np.concatenate([big, -big * (1 + 1e-15 * rng.standard_normal(big.shape)), small],
+                       axis=1)
+    P = rng.permuted(P, axis=1)
+    exact = np.array([math.fsum(row) for row in P])
+    eps = np.finfo(float).eps / 2
+    gamma = (m - 1) * eps / (1 - (m - 1) * eps)
+    bound = eps * np.abs(exact) + gamma**2 * np.abs(P).sum(axis=1)
+    naive = P.sum(axis=1)
+    assert np.any(np.abs(naive - exact) > bound)  # the inputs do need compensation
+    got = _sum2_rows(P.copy())
+    assert np.all(np.abs(got - exact) <= bound)
 
 
 # ----------------------------------------------------------------------

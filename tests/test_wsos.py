@@ -224,6 +224,29 @@ def test_hess_inv_apply_roundtrip_and_dense():
     assert np.linalg.norm(ev1.hess_inv_apply(rhs) - dense) <= 1e-8 * np.linalg.norm(dense)
 
 
+def test_hess_chol_records_jitter(monkeypatch):
+    cone = unweighted_cone(1, 6)
+    x = np.ones(cone.U) + 0.3 * np.random.default_rng(11).uniform(-1, 1, cone.U)
+    plain = cone.barrier(x)
+    assert plain.hess_jitter is None
+    plain.hess_chol
+    assert plain.hess_jitter == 0.0
+
+    ev = cone.barrier(x)
+    cholesky = np.linalg.cholesky
+
+    def fail_on_hessian(a):
+        if a is ev.hessian:
+            raise np.linalg.LinAlgError("forced")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail_on_hessian)
+    L = ev.hess_chol
+    assert ev.hess_jitter == 1e-14
+    shift = 1e-14 * np.mean(np.diag(ev.hessian))
+    np.testing.assert_allclose(L @ L.T, ev.hessian + shift * np.eye(cone.U), rtol=1e-12)
+
+
 def test_conditioning_bound():
     # cond(H(x)) <= cond(Lambda_op)^2 * cond(Lambda(x))^2 on small cones
     rng = np.random.default_rng(12)
