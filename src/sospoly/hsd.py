@@ -186,8 +186,7 @@ def make_iterate(problem, x, tau, y, s, kappa, barrier=None) -> Iterate:
         raise NotInteriorError("tau and kappa must stay positive")
     if barrier is None:
         barrier = problem.cone.barrier(x)
-    nu_bar = problem.cone.nu + 1
-    mu = (float(x @ s) + tau * kappa) / nu_bar
+    mu = _mu(problem, x, tau, s, kappa)
     if mu <= 0:
         raise NotInteriorError("complementarity gap must stay positive")
     psi_x = s + mu * barrier.gradient
@@ -196,11 +195,51 @@ def make_iterate(problem, x, tau, y, s, kappa, barrier=None) -> Iterate:
     return Iterate(x, tau, y, s, kappa, barrier, mu, psi_x, psi_tau, norm)
 
 
-def try_make_iterate(problem, x, tau, y, s, kappa):
+def _mu(problem, x, tau, s, kappa) -> float:
+    return (float(x @ s) + tau * kappa) / (problem.cone.nu + 1)
+
+
+def try_make_iterate(problem, x, tau, y, s, kappa, screen=None):
+    """The iterate at (x, tau, y, s, kappa), or None outside the interior.
+
+    With ``screen``, the iterate a predictor trial steps from, it is also
+    None when a lower bound on the neighborhood norm already puts the point
+    outside N(BETA); such a point never forms or factors its barrier
+    Hessian. Any other point comes out exactly as make_iterate makes it.
+    """
     try:
-        return make_iterate(problem, x, tau, y, s, kappa)
+        barrier = None
+        if screen is not None and tau > 0 and kappa > 0:
+            barrier = problem.cone.barrier(x)
+            if _screened_out(problem, screen, barrier, tau, s, kappa):
+                return None
+        return make_iterate(problem, x, tau, y, s, kappa, barrier)
     except NotInteriorError:
         return None
+
+
+def _screened_out(problem, z: Iterate, barrier, tau, s, kappa) -> bool:
+    """Whether the point's neighborhood norm provably exceeds BETA*mu.
+
+    The tau term alone decides exactly, since the full norm only adds a
+    nonnegative term under the root. The cone terms are lower-bounded one
+    factor at a time with z's cached Hessian factors as reference
+    (``BarrierEval.inv_quadform_lower_bound``), against (BETA*mu)^2 with a
+    relative margin of 1e-6 for the rounding in which the bounds differ
+    from the exact norm.
+    """
+    mu = _mu(problem, barrier.x, tau, s, kappa)
+    tau_term = (tau * (kappa - mu / tau)) ** 2
+    if math.sqrt(tau_term) > BETA * mu:
+        return True
+    cap = (1.0 + 1e-6) * (BETA * mu) ** 2
+    bound = tau_term
+    for ev, ref, sl in zip(barrier.factor_evals, z.barrier.factor_evals,
+                           problem.cone.slices()):
+        bound += ev.inv_quadform_lower_bound(s[sl], mu, ref)
+        if bound > cap:
+            return True
+    return False
 
 
 def initial_point(problem: ConicProblem) -> Iterate:
@@ -228,6 +267,11 @@ def embedding_residual(problem, z: Iterate):
 def embedding_residual_norm(problem, z: Iterate) -> float:
     r_p, r_d, r_g = embedding_residual(problem, z)
     return math.sqrt(float(r_p @ r_p) + float(r_d @ r_d) + r_g * r_g)
+
+
+def _max_abs(M, axis):
+    """max |M| along an axis, without an |M| temporary."""
+    return np.maximum(M.max(axis=axis), -M.min(axis=axis))
 
 
 class _ReducedKKT:
@@ -259,7 +303,7 @@ class _ReducedKKT:
         A, b, c = problem.A, problem.b, problem.c
         k, N = A.shape
         self._n, self._k = N, k
-        M = np.zeros((N + k + 1, N + k + 1))
+        M = np.zeros((N + k + 1, N + k + 1), order="F")  # factored in place
         for ev, sl in zip(z.barrier.factor_evals, problem.cone.slices()):
             M[sl, sl] = self.mu * ev.hessian
         M[:N, N:N + k] = -A.T
@@ -271,11 +315,11 @@ class _ReducedKKT:
         M[-1, -1] = self.tau_diag
         # max-norm equilibration: mu*H rows dwarf the A rows near convergence,
         # which otherwise costs several digits in the LU solve
-        self._rs = 1.0 / np.maximum(np.abs(M).max(axis=1), 1e-300)
+        self._rs = 1.0 / np.maximum(_max_abs(M, axis=1), 1e-300)
         M *= self._rs[:, None]
-        self._cs = 1.0 / np.maximum(np.abs(M).max(axis=0), 1e-300)
+        self._cs = 1.0 / np.maximum(_max_abs(M, axis=0), 1e-300)
         M *= self._cs[None, :]
-        self._lu = scipy.linalg.lu_factor(M, check_finite=False)
+        self._lu = scipy.linalg.lu_factor(M, overwrite_a=True, check_finite=False)
 
     def solve_reduced(self, f1, f2, f3):
         rhs = self._rs * np.concatenate([f1, f2, [f3]])
@@ -332,15 +376,14 @@ def newton_direction(problem, z: Iterate, rhs_mode: str) -> Direction:
     return _ReducedKKT(problem, z).solve(*rhs)
 
 
+def _stepped(z: Iterate, d: Direction, alpha: float):
+    return (z.x + alpha * d.dx, z.tau + alpha * d.dtau, z.y + alpha * d.dy,
+            z.s + alpha * d.ds, z.kappa + alpha * d.dkappa)
+
+
 def _step(problem, z: Iterate, d: Direction, alpha: float):
-    return try_make_iterate(
-        problem,
-        z.x + alpha * d.dx,
-        z.tau + alpha * d.dtau,
-        z.y + alpha * d.dy,
-        z.s + alpha * d.ds,
-        z.kappa + alpha * d.dkappa,
-    )
+    """Predictor trial z + alpha d, screened against N(BETA) before its Hessian."""
+    return try_make_iterate(problem, *_stepped(z, d, alpha), screen=z)
 
 
 @dataclass
@@ -360,7 +403,9 @@ def predictor_step(problem, z: Iterate, direction=None,
     beta-neighborhood (cap ALPHA_CAP), halves when even the start fails,
     then sharpens the bracket with REFINE_BISECTIONS bisections. Once a
     halving is accepted, the step rejected just before it closes the
-    bracket, so no step is tried twice. A degenerate direction or no
+    bracket, so no step is tried twice. Each trial is screened against
+    N(BETA) before its barrier Hessian is formed (``try_make_iterate``),
+    which saves work and changes no step. A degenerate direction or no
     acceptable step above ALPHA_MIN is reported as a stall; z is returned
     unchanged.
     """
@@ -415,12 +460,12 @@ def corrector_phase(problem, z: Iterate):
     while steps < R_C and not z.in_neighborhood(ETA):
         d = newton_direction(problem, z, "corrector")
         alpha = ALPHA_C
-        trial = _step(problem, z, d, alpha)
+        trial = try_make_iterate(problem, *_stepped(z, d, alpha))
         while trial is None:
             alpha *= 0.5
             if alpha < ALPHA_MIN:
                 raise SolverError("corrector step lost the cone interior")
-            trial = _step(problem, z, d, alpha)
+            trial = try_make_iterate(problem, *_stepped(z, d, alpha))
         z = trial
         steps += 1
         jittered += z.barrier.jittered

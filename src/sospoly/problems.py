@@ -157,6 +157,8 @@ def build_envelope(n: int, d: int, k: int, box: BoxDomain | None = None,
     """
     if k < 1:
         raise ValueError("need k >= 1 input polynomials")
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d = {d}")
     box = box or BoxDomain.unit(n)
     if fs is None:
         fs = random_envelope_inputs(n, min(5, 2 * d), k, seed, box)

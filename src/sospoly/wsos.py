@@ -99,37 +99,72 @@ class InterpWSOSCone:
         return factors
 
     def barrier(self, x: np.ndarray) -> "BarrierEval":
-        """Value, gradient, and Hessian of F at an interior point x."""
+        """Barrier data at an interior point x: value now, derivatives on first use.
+
+        Computes the value and each block's V = L^{-1} Ptilde^T from the
+        Cholesky factor L of Lambda(x); the gradient -sum diag(V^T V) and
+        the Hessian sum (V^T V)∘(V^T V) are formed from them when first read.
+        """
         x = np.asarray(x, dtype=float)
         lam_chols = self.in_interior(x)
         if lam_chols is None:
             raise NotInteriorError("x is not in the interior of the cone")
         value = 0.0
-        grad = np.zeros(self.U)
-        hess = np.zeros((self.U, self.U))
+        halves = []
         for B, L in zip(self.blocks, lam_chols):
             value -= 2.0 * np.sum(np.log(np.diag(L)))
-            V = scipy.linalg.solve_triangular(L, B.T, lower=True, check_finite=False)
-            Q = V.T @ V  # Ptilde Lambda(x)^{-1} Ptilde^T
-            grad -= np.diag(Q)
-            hess += Q * Q
-        return BarrierEval(self, x, value, grad, hess, lam_chols)
+            halves.append(scipy.linalg.solve_triangular(L, B.T, lower=True,
+                                                        check_finite=False))
+        return BarrierEval(self, x, value, lam_chols, halves)
+
+
+# relative diagonal shifts (times the mean diagonal of H) that hess_chol tries
+# when the plain Cholesky of the Hessian fails
+JITTER_LADDER = (1e-14, 1e-12, 1e-10)
 
 
 @dataclass
 class BarrierEval:
-    """Barrier data at one interior point, with cached factorizations."""
+    """Barrier data at one interior point, with cached factorizations.
+
+    Until the gradient or the Hessian is first read, each block's
+    V = L^{-1} Ptilde^T is kept in ``_halves``; forming them drops the V
+    blocks. Before that, ``inv_quadform_lower_bound`` bounds the local norm
+    from the V blocks alone.
+    """
 
     cone: "InterpWSOSCone"
     x: np.ndarray
     value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
     lambda_chols: list
+    _halves: list = None
+    _gradient: np.ndarray = None
+    _hessian: np.ndarray = None
     _hess_chol: np.ndarray = None
     # relative diagonal shift (times the mean diagonal of H) that hess_chol
     # needed: 0.0 for a plain Cholesky, None until hess_chol has run
     hess_jitter: float | None = None
+
+    def _form_derivatives(self):
+        grad = np.zeros(self.cone.U)
+        hess = np.zeros((self.cone.U, self.cone.U))
+        for V in self._halves:
+            Q = V.T @ V  # Ptilde Lambda(x)^{-1} Ptilde^T
+            grad -= np.diag(Q)
+            hess += Q * Q
+        self._gradient, self._hessian, self._halves = grad, hess, None
+
+    @property
+    def gradient(self) -> np.ndarray:
+        if self._gradient is None:
+            self._form_derivatives()
+        return self._gradient
+
+    @property
+    def hessian(self) -> np.ndarray:
+        if self._hessian is None:
+            self._form_derivatives()
+        return self._hessian
 
     @property
     def hess_chol(self) -> np.ndarray:
@@ -144,7 +179,7 @@ class BarrierEval:
                 # jitter at the scale of that rounding noise
                 scale = float(np.mean(np.diag(H)))
                 eye = np.eye(H.shape[0])
-                for eps in (1e-14, 1e-12, 1e-10):
+                for eps in JITTER_LADDER:
                     try:
                         self._hess_chol = np.linalg.cholesky(H + eps * scale * eye)
                         self.hess_jitter = eps
@@ -167,6 +202,36 @@ class BarrierEval:
         half = scipy.linalg.solve_triangular(self.hess_chol, v, lower=True,
                                              check_finite=False)
         return float(half @ half)
+
+    def inv_quadform_lower_bound(self, s: np.ndarray, mu: float,
+                                 reference: "BarrierEval") -> float:
+        """Lower bound on psi^T (H + eps I)^{-1} psi, psi = s + mu g, without H.
+
+        Holds for every diagonal shift eps that ``hess_chol`` may add. With
+        w = reference.hess_inv_apply(psi), any w gives
+
+            psi^T (H + eps I)^{-1} psi >= (w^T psi)^2 / w^T (H + eps I) w,
+
+        tight when the reference Hessian is close to H, and
+        w^T H w = sum_i ||V_i diag(w) V_i^T||_F^2 costs O(sum_i L_i^2 U)
+        against O(sum_i L_i U^2) for H. g and diag H are taken as the
+        column sums -sum_i colsum(V_i∘V_i) and sum_i colsum(V_i∘V_i)^2,
+        equal to the formed ones up to rounding, so a caller comparing the
+        bound with a threshold needs a small relative margin. Must be
+        called before the gradient or Hessian is read.
+        """
+        diag_q = [np.einsum("ij,ij->j", V, V) for V in self._halves]
+        psi = s - mu * sum(diag_q)
+        w = reference.hess_inv_apply(psi)
+        w_psi = float(w @ psi)
+        if w_psi == 0.0:
+            return 0.0
+        w_hess_w = 0.0
+        for V in self._halves:
+            M = (V * w) @ V.T
+            w_hess_w += float(np.sum(M * M))
+        shift = JITTER_LADDER[-1] * float(np.mean(sum(d * d for d in diag_q)))
+        return w_psi * w_psi / (w_hess_w + shift * float(w @ w))
 
 
 def build_cone(pts: PointSet, weights, degs) -> InterpWSOSCone:
@@ -233,7 +298,10 @@ class ProductBarrierEval:
         self.x = x
         self.factor_evals = factor_evals
         self.value = sum(e.value for e in factor_evals)
-        self.gradient = np.concatenate([e.gradient for e in factor_evals])
+
+    @property
+    def gradient(self) -> np.ndarray:
+        return np.concatenate([e.gradient for e in self.factor_evals])
 
     def hess_apply(self, v: np.ndarray) -> np.ndarray:
         return np.concatenate(

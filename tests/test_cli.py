@@ -103,6 +103,11 @@ def test_envelope_deterministic_output(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_envelope_degree_zero_is_a_usage_error(capsys):
+    assert main(["envelope", "--n", "1", "--d", "0"]) == 2
+    assert "d = 0" in capsys.readouterr().err
+
+
 def test_envelope_problem_roundtrip(tmp_path):
     prob_path = tmp_path / "prob.json"
     sol1 = tmp_path / "sol1.json"

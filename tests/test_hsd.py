@@ -224,6 +224,36 @@ def test_predictor_never_tries_a_step_twice(monkeypatch, alpha_init):
         assert out.alpha < alpha_init / 2     # the search did shrink
 
 
+def _predict(problem, z, monkeypatch, screen):
+    verdicts = []
+    screened_out = hsd._screened_out
+
+    def recording(*args):
+        verdicts.append(screened_out(*args) if screen else False)
+        return verdicts[-1]
+
+    monkeypatch.setattr(hsd, "_screened_out", recording)
+    return predictor_step(problem, z), verdicts
+
+
+@pytest.mark.parametrize("late", [False, True])
+def test_predictor_screen_changes_no_step(envelope_small, monkeypatch, late):
+    # the same step and bit-identical iterate with the screen as with a
+    # screen that never rejects, at the start and at the last iterate, whose
+    # Hessian Cholesky needed jitter
+    problem = envelope_small.built.problem
+    z = envelope_small.result.final if late else initial_point(problem)
+    assert z.barrier.jittered == late
+    screened, verdicts = _predict(problem, z, monkeypatch, screen=True)
+    plain, _ = _predict(problem, z, monkeypatch, screen=False)
+    assert late or any(verdicts)  # at the start the screen does reject
+    assert screened.alpha == plain.alpha and screened.stalled == plain.stalled
+    for key in ("x", "y", "s"):
+        assert np.array_equal(getattr(screened.iterate, key), getattr(plain.iterate, key))
+    for key in ("tau", "kappa", "mu", "nbhd_norm"):
+        assert getattr(screened.iterate, key) == getattr(plain.iterate, key)
+
+
 def test_corrector_noop_inside_eta():
     problem = small_problem()
     z0 = initial_point(problem)           # exactly centered

@@ -166,6 +166,12 @@ def test_polymin_butcher_bound(butcher_solved):
     assert abs(r.dual_objective - BUTCHER_OPT) <= 1e-7
 
 
+def test_envelope_degree_validation():
+    for d in (0, -1):
+        with pytest.raises(ValueError, match=f"d = {d}"):
+            build_envelope(1, d, 2)
+
+
 def test_polymin_degree_validation():
     f = builtin_poly("caprasse")
     with pytest.raises(ValueError):

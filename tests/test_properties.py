@@ -55,6 +55,41 @@ def test_barrier_log_homogeneity_identities(case):
 
 
 @st.composite
+def screen_cases(draw):
+    """A cone, two interior points, a vector psi and a mu >= 0."""
+    cone = CONES[draw(cone_index)]
+    x = np.exp(draw(vector(cone.U, st.floats(-3.0, 3.0))))
+    ref = np.exp(draw(vector(cone.U, st.floats(-3.0, 3.0))))
+    psi = draw(vector(cone.U, st.floats(-1.0, 1.0)))
+    return cone, x, ref, psi, draw(st.floats(0.0, 1.0))
+
+
+@given(screen_cases())
+def test_screen_bound_below_every_jittered_norm(case):
+    # the predictor's screen may reject only what the full norm rejects,
+    # whichever diagonal shift the Hessian Cholesky ends up needing
+    cone, x, ref, psi, mu = case
+    full = cone.barrier(x)
+    s = psi - mu * full.gradient
+    psi = s + mu * full.gradient
+    bound = cone.barrier(x).inv_quadform_lower_bound(s, mu, cone.barrier(ref))
+    H = full.hessian
+    scale = np.mean(np.diag(H))
+    for eps in (0.0, 1e-14, 1e-12, 1e-10):
+        half = np.linalg.solve(np.linalg.cholesky(H + eps * scale * np.eye(cone.U)), psi)
+        assert bound <= (1.0 + 1e-9) * float(half @ half)
+
+
+@given(screen_cases())
+def test_screen_bound_tight_at_its_reference(case):
+    cone, x, _, psi, mu = case
+    full = cone.barrier(x)
+    s = psi - mu * full.gradient
+    bound = cone.barrier(x).inv_quadform_lower_bound(s, mu, full)
+    assert bound >= (1.0 - 1e-5) * full.inv_quadform(s + mu * full.gradient)
+
+
+@st.composite
 def adjoint_cases(draw):
     """A cone, a block index, any x and a symmetric matrix of the block's size."""
     cone = CONES[draw(cone_index)]
