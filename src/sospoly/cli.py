@@ -179,13 +179,8 @@ def cmd_solve(args) -> int:
 
 def cmd_certify(args) -> int:
     problem = fileio.load_problem(args.problem, allow_rank_deficient=True)
-    sol = fileio.load_solution(args.solution)
-    if "iterate" not in sol:
-        raise SchemaError("iterate: solution file carries no final iterate")
-    it = sol["iterate"]
-    x = np.asarray(it["x"], dtype=float)
-    s = np.asarray(it["s"], dtype=float)
-    delta = float(it["mu"])
+    x, s, delta = fileio.solution_iterate(fileio.load_solution(args.solution),
+                                          problem.cone.dim)
     reports = []
     all_passed = True
     for factor, sl in zip(problem.cone.factors, problem.cone.slices()):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import datetime
 import json
+import math
 import os
 import tempfile
 
@@ -57,7 +58,10 @@ def _require(cond, path, msg):
 
 def _num_list(obj, path):
     _require(isinstance(obj, list) and len(obj) > 0, path, "expected a nonempty array")
-    arr = np.asarray(obj, dtype=float)
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: expected a rectangular array of numbers ({exc})") from exc
     _require(np.all(np.isfinite(arr)), path, "entries must be finite numbers")
     return arr
 
@@ -177,6 +181,21 @@ def load_solution(path: str) -> dict:
             raise SchemaError(f"$: invalid JSON ({exc})") from exc
     _require(isinstance(data, dict) and "status" in data, "status", "missing field")
     return data
+
+
+def solution_iterate(data: dict, dim: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """x, s and mu of a loaded solution's final iterate, for a cone of dimension dim."""
+    it = data.get("iterate")
+    _require(isinstance(it, dict), "iterate", "solution file carries no final iterate")
+    x = _num_list(it.get("x"), "iterate.x")
+    s = _num_list(it.get("s"), "iterate.s")
+    for path, v in (("iterate.x", x), ("iterate.s", s)):
+        _require(v.shape == (dim,), path, f"expected {dim} entries to match the problem")
+    mu = it.get("mu")
+    ok = isinstance(mu, (int, float)) and not isinstance(mu, bool)
+    _require(ok and math.isfinite(mu) and mu > 0, "iterate.mu",
+             "expected a finite positive number")
+    return x, s, float(mu)
 
 
 def write_trace_csv(path: str, trace):

@@ -77,15 +77,6 @@ class PolySpec:
             return cheb_basis_values(points, self.box, self.degree) @ self.coeffs
         raise ValueError(f"unknown PolySpec kind {self.kind!r}")
 
-    def to_chebyshev(self) -> "PolySpec":
-        """Equivalent chebyshev-coefficient representation (by interpolation)."""
-        if self.kind == "chebyshev":
-            return self
-        pts = points_for_degree(self.n, self.degree, self.box)
-        V = cheb_basis_values(pts.points, self.box, self.degree)
-        coeffs = np.linalg.solve(V, self(pts.points))
-        return PolySpec("chebyshev", self.n, self.degree, self.box, coeffs=coeffs)
-
 
 def builtin_poly(name: str) -> PolySpec:
     """One of the named benchmark polynomials with its standard box."""

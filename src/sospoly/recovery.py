@@ -14,7 +14,6 @@ each S_i.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +64,12 @@ class VerificationReport:
 def recover_gram(cone: InterpWSOSCone, x, s, delta, barrier=None) -> GramCertificate:
     """Gram matrices reproducing s through the adjoint cone operators.
 
-    ``delta`` should be mu(z) when (x, s) come from a solver iterate; the
-    positivity guarantee is tied to that choice. ``barrier`` may pass a
-    cached evaluation at x to reuse its factorizations.
+    One Hessian solve and one pass over the blocks, with no refinement of u:
+    the residual is set by rounding each S_i in the P~_i basis, which
+    refining against H(x) cannot reach. ``delta`` should be mu(z) when
+    (x, s) come from a solver iterate; the positivity guarantee is tied to
+    that choice. ``barrier`` may pass a cached evaluation at x to reuse its
+    factorizations.
     """
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -80,36 +82,25 @@ def recover_gram(cone: InterpWSOSCone, x, s, delta, barrier=None) -> GramCertifi
     # nearly singular H: the dominant term's adjoint reproduces -delta g(x) by
     # the same floating operations that computed the gradient, and the
     # correction term is small wherever the neighborhood hypothesis holds.
-    psi = s + delta * barrier.gradient
-    u = barrier.hess_inv_apply(psi)
-    best_u, best_res = u, float(np.linalg.norm(barrier.hess_apply(u) - psi))
-    for _ in range(10):
-        du = barrier.hess_inv_apply(psi - barrier.hess_apply(u))
-        if not np.all(np.isfinite(du)):
-            break
-        u = u + du
-        res = float(np.linalg.norm(barrier.hess_apply(u) - psi))
-        if res < best_res:
-            best_u, best_res = u, res
-        else:
-            break
-    u = best_u
-
+    u = barrier.hess_inv_apply(s + delta * barrier.gradient)
     grams = []
-    adjoint = np.zeros(cone.U)
-    min_eigs = []
-    for i, (B, L) in enumerate(zip(cone.blocks, barrier.lambda_chols)):
+    for i, L in enumerate(barrier.lambda_chols):
         lam_inv_half = scipy.linalg.solve_triangular(
             L, np.eye(L.shape[0]), lower=True, check_finite=False)
-        lam_u = cone.lambda_op(i, u)
-        half = scipy.linalg.cho_solve((L, True), lam_u, check_finite=False)
+        half = scipy.linalg.cho_solve((L, True), cone.lambda_op(i, u), check_finite=False)
         corr = scipy.linalg.cho_solve((L, True), half.T, check_finite=False)
         S = delta * (lam_inv_half.T @ lam_inv_half) + 0.5 * (corr + corr.T)
-        S = 0.5 * (S + S.T)
-        grams.append(S)
+        grams.append(0.5 * (S + S.T))
+    return _certificate(cone, grams, s, delta)
+
+
+def _certificate(cone: InterpWSOSCone, grams, s, delta) -> GramCertificate:
+    """The certificate of ``grams`` for s: plain adjoint residual, min eigenvalues."""
+    adjoint = np.zeros(cone.U)
+    for i, S in enumerate(grams):
         adjoint += cone.lambda_adjoint(i, S)
-        min_eigs.append(float(np.linalg.eigvalsh(S)[0]))
     residual = float(np.max(np.abs(adjoint - s)))
+    min_eigs = [float(np.linalg.eigvalsh(S)[0]) for S in grams]
     return GramCertificate(grams, residual, min_eigs, float(delta))
 
 
@@ -138,12 +129,7 @@ def lower_bound_certificate(cone: InterpWSOSCone, iterate, c, lb,
     grams = [S / z.tau for S in cert.grams]
     grams[-1] = grams[-1] + shift * np.outer(q, q)
     s_cert = np.asarray(c, dtype=float) - lb
-    adjoint = np.zeros(cone.U)
-    for i, S in enumerate(grams):
-        adjoint += cone.lambda_adjoint(i, S)
-    residual = float(np.max(np.abs(adjoint - s_cert)))
-    min_eigs = [float(np.linalg.eigvalsh(S)[0]) for S in grams]
-    return GramCertificate(grams, residual, min_eigs, z.mu / z.tau**2), s_cert
+    return _certificate(cone, grams, s_cert, z.mu / z.tau**2), s_cert
 
 
 # the compensated adjoint sum takes its points in chunks of about this many
@@ -193,19 +179,9 @@ def _compensated_adjoint_sum(cone: InterpWSOSCone, grams) -> np.ndarray:
 
 
 def _ldl_min_pivot(S: np.ndarray) -> tuple[bool, float]:
-    """PSD check via LDL: smallest eigenvalue over the 1x1/2x2 pivot blocks."""
+    """PSD check via LDL: smallest eigenvalue of the 1x1/2x2 block-diagonal D."""
     _, D, _ = scipy.linalg.ldl(S)
-    min_pivot = math.inf
-    j = 0
-    L = D.shape[0]
-    while j < L:
-        if j + 1 < L and (D[j, j + 1] != 0.0 or D[j + 1, j] != 0.0):
-            eigs = np.linalg.eigvalsh(D[j:j + 2, j:j + 2])
-            min_pivot = min(min_pivot, float(eigs[0]))
-            j += 2
-        else:
-            min_pivot = min(min_pivot, float(D[j, j]))
-            j += 1
+    min_pivot = float(np.linalg.eigvalsh(D)[0])
     return min_pivot >= -PIVOT_TOL, min_pivot
 
 

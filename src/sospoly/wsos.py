@@ -318,12 +318,6 @@ class ProductBarrierEval:
         """Whether a factor's Hessian Cholesky so far needed a diagonal shift."""
         return any(e.hess_jitter for e in self.factor_evals)
 
-    def hess_dense(self) -> np.ndarray:
-        H = np.zeros((self.cone.dim, self.cone.dim))
-        for e, sl in zip(self.factor_evals, self.cone.slices()):
-            H[sl, sl] = e.hessian
-        return H
-
 
 def as_product(cone) -> ProductCone:
     """Wrap a single factor as a one-factor product, pass products through."""

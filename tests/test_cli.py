@@ -193,6 +193,30 @@ def test_solve_schema_violations(tmp_path, capsys):
     assert main(["solve", "--problem", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("A", [
+    [[{"a": 1}]],                # an object where a number belongs
+    [[1.0, 1.0], [1.0]],         # ragged rows
+    [["one", 1.0]],              # a string entry
+])
+def test_solve_malformed_A_is_a_schema_error(tmp_path, capsys, A):
+    built = sp.build_envelope(1, 3, 2, seed=5)
+    data = fileio.problem_to_dict(built.problem)
+    data["A"] = A
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["solve", "--problem", str(bad)]) == 2
+    assert "schema error: A:" in capsys.readouterr().err
+
+
+def test_polymin_object_among_coeffs_is_a_schema_error(tmp_path, capsys):
+    spec = {"kind": "chebyshev", "n": 1, "deg": 1, "coeffs": [1.0, {"a": 1}],
+            "box": {"lower": [-1.0], "upper": [1.0]}}
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps(spec))
+    assert main(["polymin", "--poly", str(poly)]) == 2
+    assert "schema error: coeffs:" in capsys.readouterr().err
+
+
 def test_solve_missing_rows_rejected(tmp_path):
     # empty constraint matrix (k = 0 rows) violates the schema
     pts = sp.cheb2_points(2)
@@ -237,6 +261,39 @@ def test_certify_exterior_iterate_exits_numerical(tmp_path, capsys):
     code = main(["certify", "--problem", str(prob_path), "--solution", str(sol_path)])
     assert code == 4
     assert "interior" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def solved_files(tmp_path_factory):
+    """A small envelope's problem file and its solution JSON."""
+    tmp = tmp_path_factory.mktemp("certify")
+    prob_path, sol_path = tmp / "prob.json", tmp / "sol.json"
+    assert main(["envelope", "--n", "1", "--d", "4", "--seed", "2",
+                 "--out", str(sol_path), "--problem-out", str(prob_path)]) == 0
+    return prob_path, read_json(sol_path)
+
+
+def _drop_mu(it):
+    del it["mu"]
+
+
+def _shorten_x(it):
+    it["x"] = it["x"][:-1]
+
+
+@pytest.mark.parametrize("field, corrupt", [
+    ("iterate.mu", _drop_mu),
+    ("iterate.x", _shorten_x),
+])
+def test_certify_malformed_iterate_is_a_schema_error(tmp_path, capsys, solved_files,
+                                                     field, corrupt):
+    prob_path, sol = solved_files
+    sol = json.loads(json.dumps(sol))
+    corrupt(sol["iterate"])
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps(sol))
+    assert main(["certify", "--problem", str(prob_path), "--solution", str(sol_path)]) == 2
+    assert f"schema error: {field}:" in capsys.readouterr().err
 
 
 def test_format_only_on_points(tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import sospoly as sp
 from sospoly import fileio, hsd
@@ -104,7 +105,7 @@ def test_mu_scales_quadratically():
 def test_neighborhood_norm_matches_dense_formula():
     problem = small_problem(seed=5)
     z = predictor_step(problem, initial_point(problem)).iterate
-    H = z.barrier.hess_dense()
+    H = scipy.linalg.block_diag(*(e.hessian for e in z.barrier.factor_evals))
     Hbar = np.zeros((H.shape[0] + 1, H.shape[0] + 1))
     Hbar[:-1, :-1] = H
     Hbar[-1, -1] = 1.0 / z.tau**2
@@ -149,7 +150,7 @@ def test_direction_matches_dense_solve_tiny_instance():
     # dense 5x5 system in (dx, dtau, dy, ds, dkappa)
     A, b, c = problem.A[0, 0], problem.b[0], problem.c[0]
     mu, x, tau = z.mu, z.x[0], z.tau
-    H = z.barrier.hess_dense()[0, 0]
+    H = z.barrier.factor_evals[0].hessian[0, 0]
     M = np.array([
         [A, -b, 0, 0, 0],
         [0, c, -A, -1, 0],

@@ -46,16 +46,6 @@ def test_unknown_builtin():
         builtin_poly("rosenbrock")
 
 
-@pytest.mark.parametrize("name", ["butcher", "caprasse", "magnetism"])
-def test_builtin_chebyshev_representation_matches(name):
-    f = builtin_poly(name)
-    g = f.to_chebyshev()
-    rng = np.random.default_rng(17)
-    pts = rng.uniform(f.box.lower, f.box.upper, size=(100, f.n))
-    fv, gv = f(pts), g(pts)
-    assert np.max(np.abs(fv - gv)) <= 1e-12 * (1 + np.max(np.abs(fv)))
-
-
 # ----------------------------------------------------------------------
 # random inputs
 

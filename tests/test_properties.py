@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -11,6 +12,12 @@ from hypothesis.extra.numpy import arrays
 import sospoly as sp
 from sospoly import fileio, hsd
 from sospoly.hsd import initial_point
+from sospoly.recovery import (
+    PIVOT_TOL,
+    _compensated_adjoint_sum,
+    _ldl_min_pivot,
+    recover_gram,
+)
 
 
 def ones_weight(t):
@@ -111,6 +118,61 @@ def test_lambda_adjointness(case):
 
 
 @st.composite
+def recovery_cases(draw):
+    """A cone, an interior x = 1 + 0.5 U(-1, 1), any s and a delta in [0.1, 2]."""
+    cone = CONES[draw(cone_index)]
+    x = 1.0 + 0.5 * draw(vector(cone.U, st.floats(-1.0, 1.0)))
+    return cone, x, draw(vector(cone.U)), draw(st.floats(0.1, 2.0))
+
+
+@given(recovery_cases())
+def test_recovered_grams_reproduce_s(case):
+    # sum_i Lambda_i^*(S_i) = s holds for any s; positivity is what needs
+    # the neighborhood hypothesis
+    cone, x, s, delta = case
+    grams = recover_gram(cone, x, s, delta).grams
+    residual = np.max(np.abs(_compensated_adjoint_sum(cone, grams) - s))
+    assert residual <= 1e-8 * (1.0 + np.linalg.norm(s))
+
+
+def _pivot_block_scan(S):
+    """Smallest eigenvalue over the 1x1/2x2 pivot blocks of S's LDL factor D."""
+    _, D, _ = scipy.linalg.ldl(S)
+    min_pivot, j, L = math.inf, 0, D.shape[0]
+    while j < L:
+        if j + 1 < L and (D[j, j + 1] != 0.0 or D[j + 1, j] != 0.0):
+            min_pivot = min(min_pivot, float(np.linalg.eigvalsh(D[j:j + 2, j:j + 2])[0]))
+            j += 2
+        else:
+            min_pivot = min(min_pivot, float(D[j, j]))
+            j += 1
+    return min_pivot
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Indefinite, zero-diagonal (2x2 pivots), PSD and PSD shifted by -1e-10."""
+    L = draw(st.integers(1, 12))
+    G = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((L, L))
+    kind = draw(st.sampled_from(["indefinite", "zero_diagonal", "psd", "shifted"]))
+    if kind == "indefinite":
+        return G + G.T
+    if kind == "zero_diagonal":
+        S = G + G.T
+        np.fill_diagonal(S, 0.0)
+        return S
+    rank = draw(st.integers(1, L))
+    S = G[:, :rank] @ G[:, :rank].T
+    return S - 1e-10 * np.eye(L) if kind == "shifted" else S
+
+
+@given(symmetric_matrices())
+def test_ldl_min_pivot_equals_pivot_block_scan(S):
+    want = _pivot_block_scan(S)
+    assert _ldl_min_pivot(S) == (want >= -PIVOT_TOL, want)
+
+
+@st.composite
 def problems(draw):
     cone = CONES[draw(cone_index)]
     k = draw(st.integers(1, 3))
@@ -158,5 +220,8 @@ def test_solution_json_round_trip(tmp_path_factory, status, pobj, gap, iters,
     for key, want in (("x", x), ("y", y), ("s", s)):
         assert np.array_equal(data[key], want)
         assert np.array_equal(data["iterate"][key], getattr(START, key))
+    x_it, s_it, mu = fileio.solution_iterate(data, N)
+    assert np.array_equal(x_it, START.x) and np.array_equal(s_it, START.s)
+    assert mu == START.mu
     for key in ("tau", "kappa", "mu"):
         assert data["iterate"][key] == getattr(START, key)
