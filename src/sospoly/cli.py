@@ -172,13 +172,13 @@ def cmd_polymin(args) -> int:
 
 def cmd_solve(args) -> int:
     params = _solver_params(args)
-    problem = fileio.load_problem(args.problem, allow_rank_deficient=args.allow_rank_deficient)
+    problem = fileio.load_problem(args.problem)
     result = hsd.solve(problem, params)
     return _write_solution(args, result)
 
 
 def cmd_certify(args) -> int:
-    problem = fileio.load_problem(args.problem, allow_rank_deficient=True)
+    problem = fileio.load_problem(args.problem)
     x, s, delta = fileio.solution_iterate(fileio.load_solution(args.solution),
                                           problem.cone.dim)
     reports = []
@@ -242,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a problem JSON file")
     p_solve.add_argument("--problem", required=True)
-    p_solve.add_argument("--allow-rank-deficient", action="store_true")
     add_common(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 

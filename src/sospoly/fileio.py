@@ -56,11 +56,34 @@ def _require(cond, path, msg):
         raise SchemaError(f"{path}: {msg}")
 
 
+def _is_number(v) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _read_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"$: invalid JSON ({exc})") from exc
+
+
 def _num_list(obj, path):
     _require(isinstance(obj, list) and len(obj) > 0, path, "expected a nonempty array")
+    # every leaf is checked here: numpy would turn "1" into 1.0 and
+    # [true, 2] into [1, 2]
+    pending = [obj]
+    while pending:
+        for v in pending.pop():
+            if isinstance(v, list):
+                pending.append(v)
+            else:
+                _require(_is_number(v), path,
+                         f"entries must be numbers, got {type(v).__name__}")
     try:
         arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:  # ragged, or an integer beyond float range
         raise SchemaError(f"{path}: expected a rectangular array of numbers ({exc})") from exc
     _require(np.all(np.isfinite(arr)), path, "entries must be finite numbers")
     return arr
@@ -89,7 +112,7 @@ def problem_to_dict(problem: ConicProblem) -> dict:
     }
 
 
-def problem_from_dict(data: dict, allow_rank_deficient=False) -> ConicProblem:
+def problem_from_dict(data: dict) -> ConicProblem:
     _require(isinstance(data, dict), "$", "expected a JSON object")
     for key in ("A", "b", "c", "cones"):
         _require(key in data, key, "missing required field")
@@ -127,16 +150,11 @@ def problem_from_dict(data: dict, allow_rank_deficient=False) -> ConicProblem:
     cone = ProductCone(factors)
     _require(cone.dim == c.size, "cones",
              f"total cone dimension {cone.dim} does not match len(c) = {c.size}")
-    return ConicProblem(A, b, c, cone, allow_rank_deficient=allow_rank_deficient)
+    return ConicProblem(A, b, c, cone)
 
 
-def load_problem(path: str, allow_rank_deficient=False) -> ConicProblem:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"$: invalid JSON ({exc})") from exc
-    return problem_from_dict(data, allow_rank_deficient=allow_rank_deficient)
+def load_problem(path: str) -> ConicProblem:
+    return problem_from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +192,7 @@ def solution_to_dict(result: SolveResult) -> dict:
 
 
 def load_solution(path: str) -> dict:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"$: invalid JSON ({exc})") from exc
+    data = _read_json(path)
     _require(isinstance(data, dict) and "status" in data, "status", "missing field")
     return data
 
@@ -192,8 +206,7 @@ def solution_iterate(data: dict, dim: int) -> tuple[np.ndarray, np.ndarray, floa
     for path, v in (("iterate.x", x), ("iterate.s", s)):
         _require(v.shape == (dim,), path, f"expected {dim} entries to match the problem")
     mu = it.get("mu")
-    ok = isinstance(mu, (int, float)) and not isinstance(mu, bool)
-    _require(ok and math.isfinite(mu) and mu > 0, "iterate.mu",
+    _require(_is_number(mu) and math.isfinite(mu) and mu > 0, "iterate.mu",
              "expected a finite positive number")
     return x, s, float(mu)
 
@@ -322,9 +335,4 @@ def polyspec_from_dict(data: dict) -> PolySpec:
 
 
 def load_polyspec(path: str) -> PolySpec:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"$: invalid JSON ({exc})") from exc
-    return polyspec_from_dict(data)
+    return polyspec_from_dict(_read_json(path))

@@ -67,15 +67,17 @@ def _rank(M):
 class ConicProblem:
     """Standard-form conic problem (A, b, c) over a product of barrier cones.
 
-    A must have full row rank. ``allow_rank_deficient=True`` admits
-    contradictory rows only, for deliberate infeasibility experiments: the
-    rows of A may be dependent as long as the rows of [A b] are not.
-    Any dependency among the rows of [A b] (redundant rows consistent with
-    b, or more than one contradiction among the same rows) is rejected
-    either way, because the Newton system is singular for it.
+    The rows of [A b] must be linearly independent, the one condition under
+    which the reduced Newton system is nonsingular: a left null vector w of
+    [A b] makes (0, w, 0) a null vector of it. Dependent rows of A are
+    admitted when the rows of [A b] are not dependent (contradictory rows,
+    w^T A = 0 with w^T b != 0): Ax = b then has no solution, and the
+    homogeneous embedding reports PrimalInfeasible. Any dependency among
+    the rows of [A b] (redundant rows consistent with b, or more than one
+    contradiction among the same rows) is rejected.
     """
 
-    def __init__(self, A, b, c, cone, allow_rank_deficient=False):
+    def __init__(self, A, b, c, cone):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.b = np.atleast_1d(np.asarray(b, dtype=float))
         self.c = np.atleast_1d(np.asarray(c, dtype=float))
@@ -85,21 +87,11 @@ class ConicProblem:
             raise ValueError("inconsistent dimensions among A, b, c")
         if self.cone.dim != N:
             raise ValueError("cone dimension does not match the variable count")
-        if _rank(self.A) < k:
-            if not allow_rank_deficient:
-                raise ValueError(
-                    "A is not full row rank; pass allow_rank_deficient=True "
-                    "only for deliberate infeasibility experiments"
-                )
-            # a left null vector w of A with w^T b = 0 makes (0, w, 0) a null
-            # vector of the reduced Newton system; none exists iff the rows
-            # of [A b] are independent
-            if _rank(np.column_stack([self.A, self.b])) < k:
-                raise ValueError(
-                    "the rows of [A b] are linearly dependent, which makes the "
-                    "Newton system singular; drop the dependent rows "
-                    "(allow_rank_deficient admits contradictory rows only)"
-                )
+        if _rank(np.column_stack([self.A, self.b])) < k:
+            raise ValueError(
+                "the rows of [A b] are linearly dependent, which makes the "
+                "Newton system singular; drop the dependent rows"
+            )
 
     @property
     def shape(self):
@@ -334,10 +326,13 @@ class _ReducedKKT:
             float(r1 @ r1) + float(r2 @ r2) + r3 * r3 + float(r4 @ r4) + r5 * r5
         )
         dx, dy, dtau = self.solve_reduced(r2 + r4, r1, r3 + r5)
-        ds = r4 - self.mu * self.z.barrier.hess_apply(dx)
-        dkappa = r5 - self.tau_diag * dtau
         best = None
-        for _ in range(5):
+        for evaluation in range(5):
+            if evaluation:  # correct only a direction whose residual is evaluated next
+                cx, cy, ctau = self.solve_reduced(-e2, -e1, -(e3 + e5))
+                dx, dy, dtau = dx + cx, dy + cy, dtau + ctau
+            ds = r4 - self.mu * self.z.barrier.hess_apply(dx)
+            dkappa = r5 - self.tau_diag * dtau
             e1, e2, e3, e5 = self._equation_residuals(dx, dy, dtau, ds, dkappa,
                                                       r1, r2, r3, r5)
             res = math.sqrt(float(e1 @ e1) + float(e2 @ e2) + e3 * e3 + e5 * e5)
@@ -347,10 +342,6 @@ class _ReducedKKT:
                 break
             if res <= 1e-15 * rhs_scale:
                 break
-            cx, cy, ctau = self.solve_reduced(-e2, -e1, -(e3 + e5))
-            dx, dy, dtau = dx + cx, dy + cy, dtau + ctau
-            ds = r4 - self.mu * self.z.barrier.hess_apply(dx)
-            dkappa = r5 - self.tau_diag * dtau
         res, (dx, dy, dtau, ds, dkappa) = best
         return Direction(dx, dtau, dy, ds, dkappa, res / rhs_scale)
 
@@ -393,8 +384,7 @@ class PredictorOutcome:
     stalled: bool
 
 
-def predictor_step(problem, z: Iterate, direction=None,
-                   alpha_init=None) -> PredictorOutcome:
+def predictor_step(problem, z: Iterate, alpha_init=None) -> PredictorOutcome:
     """Expanding line search for the largest step staying inside N(BETA).
 
     Starts at ``alpha_init`` (ALPHA_START by default; the solve loop passes
@@ -409,8 +399,7 @@ def predictor_step(problem, z: Iterate, direction=None,
     acceptable step above ALPHA_MIN is reported as a stall; z is returned
     unchanged.
     """
-    if direction is None:
-        direction = newton_direction(problem, z, "predictor")
+    direction = newton_direction(problem, z, "predictor")
     if direction.norm() == 0.0:
         return PredictorOutcome(z, 0.0, True)
 

@@ -88,8 +88,18 @@ def contradictory_rows_solved():
     A = np.vstack([np.ones(pts.U), np.ones(pts.U)])
     b = np.array([1.0, 2.0])
     c = 2.0 + pts.points[:, 0] ** 2
-    problem = sp.ConicProblem(A, b, c, cone, allow_rank_deficient=True)
+    problem = sp.ConicProblem(A, b, c, cone)
     t0 = time.perf_counter()
     result = sp.solve(problem)
     built = sp.BuiltProblem(problem, problem.cone, pts)
     return SolvedInstance(built, result, time.perf_counter() - t0)
+
+
+@pytest.fixture
+def dual_infeasible_problem():
+    """A problem whose dual is infeasible: Ax = 0 holds on a ray of the cone
+    along which c'x = -1'x falls without bound."""
+    cone = sp.build_cone(sp.cheb2_points(4), [lambda t: np.ones(t.shape[0])], [2])
+    A = np.zeros((1, cone.U))
+    A[0, 0], A[0, 1] = 1.0, -0.5
+    return sp.ConicProblem(A, np.array([0.0]), -np.ones(cone.U), cone)

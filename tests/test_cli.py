@@ -1,13 +1,16 @@
 """Command-line workflows, file formats, exit codes, determinism."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sospoly as sp
 from sospoly import fileio
-from sospoly.cli import main
+from sospoly.cli import build_parser, main
 from sospoly.fileio import SchemaError
 
 
@@ -158,19 +161,30 @@ def test_polymin_usage_errors():
 # solve subcommand
 
 
-def test_solve_infeasible_problem(tmp_path):
-    pts = sp.cheb2_points(4)
-    cone = sp.build_cone(pts, [lambda t: np.ones(t.shape[0])], [2])
-    A = np.vstack([np.ones(5), np.ones(5)])
-    problem = sp.ConicProblem(A, np.array([1.0, 2.0]), 2.0 + pts.points[:, 0] ** 2,
-                              cone, allow_rank_deficient=True)
+def test_solve_infeasible_problem(tmp_path, capsys, contradictory_rows_solved):
     path = tmp_path / "infeas.json"
-    fileio.dump_json(path.as_posix(), fileio.problem_to_dict(problem))
+    data = fileio.problem_to_dict(contradictory_rows_solved.built.problem)
+    fileio.dump_json(path.as_posix(), data)
     out = tmp_path / "sol.json"
-    code = main(["solve", "--problem", str(path), "--allow-rank-deficient",
-                 "--out", str(out)])
+    code = main(["solve", "--problem", str(path), "--out", str(out)])
     assert code == 3
     assert read_json(out)["status"] == "PrimalInfeasible"
+
+    # with b = (1, 1) the rows of [A b] are dependent: the Newton system is
+    # singular, so the file is refused before any solve
+    data["b"] = [1.0, 1.0]
+    fileio.dump_json(path.as_posix(), data)
+    assert main(["solve", "--problem", str(path)]) == 2
+    assert "dependent" in capsys.readouterr().err
+
+
+def test_solve_dual_infeasible_problem(tmp_path, dual_infeasible_problem):
+    path = tmp_path / "dual_infeas.json"
+    fileio.dump_json(path.as_posix(), fileio.problem_to_dict(dual_infeasible_problem))
+    out = tmp_path / "sol.json"
+    code = main(["solve", "--problem", str(path), "--out", str(out)])
+    assert code == 3
+    assert read_json(out)["status"] == "DualInfeasible"
 
 
 def test_solve_schema_violations(tmp_path, capsys):
@@ -206,6 +220,27 @@ def test_solve_malformed_A_is_a_schema_error(tmp_path, capsys, A):
     bad.write_text(json.dumps(data))
     assert main(["solve", "--problem", str(bad)]) == 2
     assert "schema error: A:" in capsys.readouterr().err
+
+
+def orthant_problem_dict(N):
+    """min 1'x s.t. 1'x = N over N one-point cones (x >= 0)."""
+    cone = {"type": "wsos_interp", "U": 1, "blocks": [{"L": 1, "P_scaled": [1.0]}]}
+    return {"A": [[1.0] * N], "b": [float(N)], "c": [1.0] * N, "cones": [cone] * N}
+
+
+@pytest.mark.parametrize("N, field, value", [
+    (1, "b", ["1"]),             # a string that numpy would read as 1.0
+    (1, "A", [[True]]),          # a boolean that numpy would read as 1.0
+    (2, "c", [True, 2]),         # numpy makes this the integer array [1, 2]
+    (1, "b", [10**400]),         # an integer beyond the float range
+])
+def test_solve_non_numeric_entry_is_a_schema_error(tmp_path, capsys, N, field, value):
+    data = orthant_problem_dict(N)
+    data[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["solve", "--problem", str(bad)]) == 2
+    assert f"schema error: {field}:" in capsys.readouterr().err
 
 
 def test_polymin_object_among_coeffs_is_a_schema_error(tmp_path, capsys):
@@ -376,3 +411,19 @@ def test_problem_dict_roundtrip_values():
     for f0, f1 in zip(built.problem.cone.factors, again.cone.factors):
         for B0, B1 in zip(f0.blocks, f1.blocks):
             np.testing.assert_array_equal(B0, B1)
+
+
+# ----------------------------------------------------------------------
+# documentation
+
+
+def test_readme_cli_section_names_exactly_the_parser_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    defined = {opt for p in subparsers.choices.values() for action in p._actions
+               for opt in action.option_strings if opt.startswith("--")}
+    defined.discard("--help")
+    assert documented == defined

@@ -18,7 +18,6 @@ from sospoly.hsd import (
     newton_direction,
     predictor_step,
 )
-from sospoly.wsos import build_cone
 
 
 def ones_weight(t):
@@ -44,20 +43,12 @@ def test_params_validation():
         SolverParams(tol_gap=2.0)
 
 
-def test_rank_deficient_A_rejected_by_default():
-    cone = sp.build_cone(sp.cheb2_points(4), [ones_weight], [2])
-    A = np.vstack([np.ones(5), np.ones(5)])
-    with pytest.raises(ValueError):
-        ConicProblem(A, np.array([1.0, 2.0]), np.ones(5), cone)
-    ConicProblem(A, np.array([1.0, 2.0]), np.ones(5), cone, allow_rank_deficient=True)
-
-
 def test_consistent_rank_deficient_A_rejected():
     # redundant rows with b in the range of A make the Newton system singular
     cone = sp.build_cone(sp.cheb2_points(4), [ones_weight], [2])
     A = np.vstack([np.ones(5), np.ones(5)])
     with pytest.raises(ValueError, match="dependent"):
-        ConicProblem(A, np.array([1.0, 1.0]), np.ones(5), cone, allow_rank_deficient=True)
+        ConicProblem(A, np.array([1.0, 1.0]), np.ones(5), cone)
 
 
 def test_dependent_contradictory_rows_rejected():
@@ -67,8 +58,7 @@ def test_dependent_contradictory_rows_rejected():
     cone = sp.build_cone(sp.cheb2_points(4), [ones_weight], [2])
     A = np.vstack([np.ones(5)] * 3)
     with pytest.raises(ValueError, match="dependent"):
-        ConicProblem(A, np.array([1.0, 2.0, 3.0]), np.ones(5), cone,
-                     allow_rank_deficient=True)
+        ConicProblem(A, np.array([1.0, 2.0, 3.0]), np.ones(5), cone)
 
 
 # ----------------------------------------------------------------------
@@ -176,6 +166,35 @@ def test_direction_residual_contradictory_rows(contradictory_rows_solved):
     assert d.residual <= 1e-9
 
 
+def test_every_direction_correction_is_evaluated(monkeypatch):
+    # each reduced solve after the first is a correction whose residual is
+    # then evaluated; this solve has a direction that uses all five
+    # evaluations, after which no further correction may be computed
+    counts = []  # [reduced solves, residual evaluations] per direction
+    solve = hsd._ReducedKKT.solve
+    solve_reduced = hsd._ReducedKKT.solve_reduced
+    residuals = hsd._ReducedKKT._equation_residuals
+
+    def counted_solve(self, *rhs):
+        counts.append([0, 0])
+        return solve(self, *rhs)
+
+    def counted_solve_reduced(self, *rhs):
+        counts[-1][0] += 1
+        return solve_reduced(self, *rhs)
+
+    def counted_residuals(self, *args):
+        counts[-1][1] += 1
+        return residuals(self, *args)
+
+    monkeypatch.setattr(hsd._ReducedKKT, "solve", counted_solve)
+    monkeypatch.setattr(hsd._ReducedKKT, "solve_reduced", counted_solve_reduced)
+    monkeypatch.setattr(hsd._ReducedKKT, "_equation_residuals", counted_residuals)
+    sp.solve(sp.build_envelope(1, 6, 2, seed=4).problem)
+    assert max(evals for _, evals in counts) == 5
+    assert all(calls == evals for calls, evals in counts)
+
+
 def test_unknown_rhs_mode():
     problem = trivial_problem()
     with pytest.raises(ValueError):
@@ -195,12 +214,13 @@ def test_predictor_accepts_reasonable_step():
     assert out.iterate.in_neighborhood(hsd.BETA)
 
 
-def test_predictor_zero_direction_stalls():
+def test_predictor_zero_direction_stalls(monkeypatch):
     problem = small_problem()
     z0 = initial_point(problem)
     zero = hsd.Direction(np.zeros(z0.x.size), 0.0, np.zeros(problem.A.shape[0]),
                          np.zeros(z0.x.size), 0.0, 0.0)
-    out = predictor_step(problem, z0, direction=zero)
+    monkeypatch.setattr(hsd, "newton_direction", lambda problem, z, rhs_mode: zero)
+    out = predictor_step(problem, z0)
     assert out.stalled and out.iterate is z0
 
 
@@ -351,7 +371,7 @@ def test_corrector_miss_is_marked_stalled(contradictory_rows_solved):
 def test_predictor_stall_ends_solve(monkeypatch):
     problem = small_problem()
 
-    def stalled(problem, z, direction=None, alpha_init=None):
+    def stalled(problem, z, alpha_init=None):
         return hsd.PredictorOutcome(z, 0.0, True)
 
     monkeypatch.setattr(hsd, "predictor_step", stalled)
@@ -399,12 +419,8 @@ def test_hessian_jitter_is_counted_and_reported(monkeypatch):
     assert fileio.solution_to_dict(r)["jittered_iterates"] == count
 
 
-def test_dual_infeasible_detection():
-    cone = build_cone(sp.cheb2_points(4), [ones_weight], [2])
-    U = cone.U
-    A = np.zeros((1, U))
-    A[0, 0], A[0, 1] = 1.0, -0.5
-    problem = ConicProblem(A, np.array([0.0]), -np.ones(U), cone)
+def test_dual_infeasible_detection(dual_infeasible_problem):
+    problem = dual_infeasible_problem
     r = sp.solve(problem)
     assert r.status == hsd.DUAL_INFEASIBLE
     z = r.final
