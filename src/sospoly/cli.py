@@ -66,11 +66,26 @@ def _solver_params(args) -> hsd.SolverParams:
         raise UsageError(str(exc)) from exc
 
 
+def _leaves(obj):
+    if isinstance(obj, list):
+        for item in obj:
+            yield from _leaves(item)
+    else:
+        yield obj
+
+
 def _parse_box(text: str, n: int) -> BoxDomain:
     try:
         data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"--box must be JSON like [[lo,hi],...]: {exc}") from exc
+    # booleans and numeric strings would pass np.asarray(..., dtype=float)
+    bad = [v for v in _leaves(data) if not fileio._is_number(v)]
+    if bad:
+        raise UsageError(f"--box bounds must be JSON numbers, got {bad[0]!r}")
+    try:
         arr = np.asarray(data, dtype=float)
-    except (json.JSONDecodeError, ValueError) as exc:
+    except ValueError as exc:  # ragged nesting
         raise UsageError(f"--box must be JSON like [[lo,hi],...]: {exc}") from exc
     if arr.shape != (n, 2):
         raise UsageError(f"--box needs {n} [lo,hi] pairs")

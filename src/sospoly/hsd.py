@@ -64,6 +64,15 @@ def _rank(M):
     return int(np.sum(sv > 1e-12 * max(1.0, sv[0])))
 
 
+def _is_identity_stack(A, cone) -> bool:
+    """Whether A = [I ... I] has m >= 2 identity blocks aligned with the cone factors."""
+    k = A.shape[0]
+    if len(cone.factors) < 2 or any(f.U != k for f in cone.factors):
+        return False
+    eye = np.eye(k)
+    return all(np.array_equal(A[:, sl], eye) for sl in cone.slices())
+
+
 class ConicProblem:
     """Standard-form conic problem (A, b, c) over a product of barrier cones.
 
@@ -75,6 +84,10 @@ class ConicProblem:
     homogeneous embedding reports PrimalInfeasible. Any dependency among
     the rows of [A b] (redundant rows consistent with b, or more than one
     contradiction among the same rows) is rejected.
+
+    ``identity_blocks`` records once whether A = [I ... I] is m >= 2
+    identity blocks, one per cone factor (the envelope form); the Newton
+    systems of such a problem are solved in the null space of A.
     """
 
     def __init__(self, A, b, c, cone):
@@ -92,6 +105,7 @@ class ConicProblem:
                 "the rows of [A b] are linearly dependent, which makes the "
                 "Newton system singular; drop the dependent rows"
             )
+        self.identity_blocks = _is_identity_stack(self.A, self.cone)
 
     @property
     def shape(self):
@@ -273,18 +287,21 @@ class _ReducedKKT:
 
         [ mu*H   -A^T    c      ] [dx  ]   [f1]
         [ A       0     -b      ] [dy  ] = [f2]
-        [ -c^T    b^T  mu/tau^2 ] [dtau]   [f3],
+        [ -c^T    b^T  mu/tau^2 ] [dtau]   [f3].
 
-    factored afresh by one dense LU with partial pivoting after max-norm
-    equilibration, for every A. The tau row and column border the system,
-    so it stays nonsingular when A has contradictory rows (rows of A
-    dependent, rows of [A b] not), the one rank-deficient input
-    ConicProblem admits. dx is
+    This class factors it afresh by one dense LU with partial pivoting
+    after max-norm equilibration. It serves every A that is not m >= 2
+    identity blocks (``ConicProblem.identity_blocks``; those go to
+    :class:`_NullSpaceKKT`): polymin's 1^T, contradictory rows, general
+    problem files. The tau row and column border the system, so it stays
+    nonsingular when A has contradictory rows (rows of A dependent, rows
+    of [A b] not), the one rank-deficient input ConicProblem admits. dx is
     not eliminated through (mu H)^{-1}: H is badly conditioned near
     convergence, and directions computed that way lose the 1e-9 accuracy
     that the residual-shrink identity r(z + alpha d) = (1 - alpha) r(z)
     relies on. A singular factor shows up as non-finite solution values
-    and raises SolverError.
+    and raises SolverError. ``solve`` refines either factorization's
+    directions against the full system.
     """
 
     def __init__(self, problem, z: Iterate):
@@ -292,11 +309,14 @@ class _ReducedKKT:
         self.z = z
         self.mu = z.mu
         self.tau_diag = self.mu / z.tau**2
-        A, b, c = problem.A, problem.b, problem.c
+        self._factor()
+
+    def _factor(self):
+        A, b, c = self.problem.A, self.problem.b, self.problem.c
         k, N = A.shape
         self._n, self._k = N, k
         M = np.zeros((N + k + 1, N + k + 1), order="F")  # factored in place
-        for ev, sl in zip(z.barrier.factor_evals, problem.cone.slices()):
+        for ev, sl in zip(self.z.barrier.factor_evals, self.problem.cone.slices()):
             M[sl, sl] = self.mu * ev.hessian
         M[:N, N:N + k] = -A.T
         M[:N, -1] = c
@@ -354,6 +374,74 @@ class _ReducedKKT:
         return e1, e2, e3, e5
 
 
+class _NullSpaceKKT(_ReducedKKT):
+    """The reduced Newton system for A = [I ... I], solved in the null space of A.
+
+    With m >= 2 identity blocks aligned with the cone factors, the A rows
+    give dx_1 = f2 + b dtau - sum_{j>=2} dx_j and the first block row gives
+    dy = mu H_1 dx_1 + c_1 dtau - f1_1. The other block rows then leave the
+    symmetric (m-1)U system
+
+        R [dx_2; ...; dx_m] = g + h dtau,
+        R = blockdiag(mu H_2, ..., mu H_m) + (1 1^T) kron mu H_1,
+        g_j = f1_j - f1_1 + mu H_1 f2,   h_j = mu H_1 b + c_1 - c_j,
+
+    the reduced Hessian Z^T (mu H) Z on a null-space basis Z of A (just
+    mu (H_1 + H_2) for m = 2). R is equilibrated by its diagonal and
+    LU-factored; R^{-1} h is solved once per factorization, so every
+    (dx, dy) is affine in dtau, and the tau row fixes dtau as a scalar.
+    No Hessian is inverted: (mu H)^{-1} is badly conditioned near
+    convergence, while R is a sum of Hessians. The order falls from
+    N + k + 1 = (m+1)U + 1 to (m-1)U.
+    """
+
+    def _factor(self):
+        c, b = self.problem.c, self.problem.b
+        hessians = [ev.hessian for ev in self.z.barrier.factor_evals]
+        m, U = len(hessians), b.size
+        n = (m - 1) * U
+        self._m, self._U = m, U
+        self._H1 = hessians[0]
+        R = np.empty((n, n), order="F")  # factored in place
+        for i in range(m - 1):
+            rows = slice(i * U, (i + 1) * U)
+            for j in range(m - 1):
+                R[rows, j * U:(j + 1) * U] = self._H1
+            R[rows, rows] += hessians[i + 1]
+        R *= self.mu
+        # symmetric diagonal equilibration: R is PSD, so |R_ij| <= 1 after it
+        self._d = 1.0 / np.sqrt(np.maximum(np.diag(R), 1e-300))
+        R *= self._d[:, None]
+        R *= self._d[None, :]
+        self._lu = scipy.linalg.lu_factor(R, overwrite_a=True, check_finite=False)
+        self._c = c.reshape(m, U)
+        self._w = self.mu * (self._H1 @ b)
+        self._q = self._solve_r((self._w + self._c[0]) - self._c[1:])
+        self._u1 = b - self._q.sum(axis=0)
+        self._beta = (float((self._w - self._c[0]) @ self._u1)
+                      - float(np.sum(self._c[1:] * self._q))
+                      + float(b @ self._c[0]) + self.tau_diag)
+
+    def _solve_r(self, rhs):
+        """R^{-1} rhs for rhs of shape (m-1, U)."""
+        sol = scipy.linalg.lu_solve(self._lu, self._d * rhs.ravel(), check_finite=False)
+        return (self._d * sol).reshape(self._m - 1, self._U)
+
+    def solve_reduced(self, f1, f2, f3):
+        f1 = f1.reshape(self._m, self._U)
+        p = self._solve_r((f1[1:] - f1[0]) + self.mu * (self._H1 @ f2))
+        u0 = f2 - p.sum(axis=0)
+        alpha = (float((self._w - self._c[0]) @ u0) - float(np.sum(self._c[1:] * p))
+                 - float(self.problem.b @ f1[0]))
+        dtau = (f3 - alpha) / self._beta
+        dx1 = u0 + self._u1 * dtau
+        dx = np.concatenate([dx1, (p + self._q * dtau).ravel()])
+        dy = self.mu * (self._H1 @ dx1) + self._c[0] * dtau - f1[0]
+        if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))):  # dx carries dtau
+            raise SolverError("reduced Newton solve produced non-finite values")
+        return dx, dy, float(dtau)
+
+
 def newton_direction(problem, z: Iterate, rhs_mode: str) -> Direction:
     """Predictor or corrector direction at z (one shared factorization)."""
     if rhs_mode == "predictor":
@@ -364,7 +452,8 @@ def newton_direction(problem, z: Iterate, rhs_mode: str) -> Direction:
         rhs = (np.zeros(k), np.zeros(N), 0.0, -z.psi_x, -(z.kappa - z.mu / z.tau))
     else:
         raise ValueError(f"unknown rhs_mode {rhs_mode!r}")
-    return _ReducedKKT(problem, z).solve(*rhs)
+    kkt = _NullSpaceKKT if problem.identity_blocks else _ReducedKKT
+    return kkt(problem, z).solve(*rhs)
 
 
 def _stepped(z: Iterate, d: Direction, alpha: float):

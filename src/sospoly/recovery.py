@@ -137,7 +137,7 @@ def lower_bound_certificate(cone: InterpWSOSCone, iterate, c, lb,
 _SUM_CHUNK_TERMS = 1 << 18
 
 
-def _sum2_rows(P: np.ndarray) -> np.ndarray:
+def _sum2_rows(P: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Compensated sum of each row of P (destroyed), Sum2 over a pairwise tree.
 
     Each pass adds the two halves of the remaining columns with TwoSum
@@ -146,15 +146,23 @@ def _sum2_rows(P: np.ndarray) -> np.ndarray:
     added once at the end. The result is as accurate as if summed in twice
     the working precision and then rounded:
     |result - sum| <= eps |sum| + gamma_{m-1}^2 sum |p|, m terms per row.
+    ``scratch``, two arrays of at least P's rows and half its columns,
+    holds every pass's temporaries.
     """
-    err = np.zeros(P.shape[0])
-    m = P.shape[1]
+    rows, m = P.shape
+    t_buf, z_buf = scratch
+    err = np.zeros(rows)
     while m > 1:
         h = m // 2
         a, b = P[:, :h], P[:, h:2 * h]
-        t = a + b
-        z = t - a
-        err += ((a - (t - z)) + (b - z)).sum(axis=1)
+        t, z = t_buf[:rows, :h], z_buf[:rows, :h]
+        np.add(a, b, out=t)
+        np.subtract(t, a, out=z)
+        np.subtract(b, z, out=b)  # b's columns are not read again
+        np.subtract(t, z, out=z)
+        np.subtract(a, z, out=z)
+        z += b                    # (a - (t - z)) + (b - z), the TwoSum error
+        err += z.sum(axis=1)
         a[...] = t
         if m % 2:
             P[:, h] = P[:, m - 1]
@@ -167,14 +175,28 @@ def _compensated_adjoint_sum(cone: InterpWSOSCone, grams) -> np.ndarray:
 
     Every term is the rounded product (B[u, a] * S[a, b]) * B[u, b]; the
     terms of one point are summed by :func:`_sum2_rows`, chunks of points
-    at a time.
+    at a time. One term buffer and the two scratch buffers of the sum are
+    allocated once and reused by every chunk; the scratch also holds each
+    block's first products, since an in-place product on a strided block
+    of the term buffer would make numpy copy it.
     """
-    chunk = max(1, _SUM_CHUNK_TERMS // sum(S.size for S in grams))
+    width = sum(S.size for S in grams)
+    chunk = max(1, _SUM_CHUNK_TERMS // width)
+    rows = min(chunk, cone.U)
+    terms = np.empty((rows, width))
+    scratch = np.empty((2, rows, (width + 1) // 2))  # holds rows * width
     out = np.empty(cone.U)
     for lo in range(0, cone.U, chunk):
-        terms = [((B[lo:lo + chunk, :, None] * S) * B[lo:lo + chunk, None, :])
-                 .reshape(-1, S.size) for B, S in zip(cone.blocks, grams)]
-        out[lo:lo + chunk] = _sum2_rows(np.concatenate(terms, axis=1))
+        hi = min(lo + chunk, cone.U)
+        P = terms[:hi - lo]
+        col = 0
+        for B, S in zip(cone.blocks, grams):
+            left = scratch.reshape(-1)[:(hi - lo) * S.size].reshape(hi - lo, *S.shape)
+            np.multiply(B[lo:hi, :, None], S, out=left)
+            np.multiply(left, B[lo:hi, None, :],
+                        out=P[:, col:col + S.size].reshape(hi - lo, *S.shape))
+            col += S.size
+        out[lo:hi] = _sum2_rows(P, scratch)
     return out
 
 

@@ -66,6 +66,16 @@ def test_points_box_rescale(tmp_path):
     np.testing.assert_allclose(vals, [0.0, 0.5, 1.0], atol=1e-15)
 
 
+@pytest.mark.parametrize("box", ['[[true, 2]]', '[["-1", "1"]]'])
+def test_points_box_non_numeric_bounds_are_usage_errors(tmp_path, capsys, box):
+    # np.asarray(dtype=float) would turn true into 1.0 and "-1" into -1.0
+    out = tmp_path / "pts.json"
+    assert main(["points", "--family", "cheb2", "--d", "2", "--out", str(out),
+                 "--box", box]) == 2
+    assert "JSON numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_points_usage_errors(capsys):
     assert main(["points", "--family", "padua", "--n", "3", "--d", "2"]) == 2
     assert main(["points", "--family", "fekete", "--n", "2"]) == 2
@@ -185,6 +195,23 @@ def test_solve_dual_infeasible_problem(tmp_path, dual_infeasible_problem):
     code = main(["solve", "--problem", str(path), "--out", str(out)])
     assert code == 3
     assert read_json(out)["status"] == "DualInfeasible"
+
+
+def test_solve_envelope_with_inputs_scaled_by_1e6(tmp_path):
+    # c of order 1e6 against b of order 1: the null-space Newton system's
+    # equilibration must cope with mu*H and the tau row far apart in scale
+    fs = [sp.chebyshev_poly(1, f.degree, 1e6 * f.coeffs)
+          for f in sp.random_envelope_inputs(1, 5, 2, seed=1)]
+    problem = sp.build_envelope(1, 20, 2, fs=fs).problem
+    assert problem.identity_blocks and np.max(np.abs(problem.c)) > 1e5
+    r = sp.solve(problem)
+    assert r.status == "Optimal"
+    path = tmp_path / "scaled.json"
+    fileio.dump_json(path.as_posix(), fileio.problem_to_dict(problem))
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--problem", str(path), "--out", str(out)]) == 0
+    sol = read_json(out)
+    assert sol["status"] == "Optimal" and sol["iterations"] == r.iterations
 
 
 def test_solve_schema_violations(tmp_path, capsys):

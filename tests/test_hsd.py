@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import sospoly as sp
-from sospoly import fileio, hsd
+from sospoly import fileio, hsd, wsos
 from sospoly.hsd import (
     ConicProblem,
     SolverParams,
@@ -170,9 +170,11 @@ def test_every_direction_correction_is_evaluated(monkeypatch):
     # each reduced solve after the first is a correction whose residual is
     # then evaluated; this solve has a direction that uses all five
     # evaluations, after which no further correction may be computed
+    problem = sp.build_envelope(1, 6, 2, seed=4).problem
+    assert problem.identity_blocks  # the envelope takes the null-space path
     counts = []  # [reduced solves, residual evaluations] per direction
     solve = hsd._ReducedKKT.solve
-    solve_reduced = hsd._ReducedKKT.solve_reduced
+    solve_reduced = hsd._NullSpaceKKT.solve_reduced
     residuals = hsd._ReducedKKT._equation_residuals
 
     def counted_solve(self, *rhs):
@@ -188,11 +190,118 @@ def test_every_direction_correction_is_evaluated(monkeypatch):
         return residuals(self, *args)
 
     monkeypatch.setattr(hsd._ReducedKKT, "solve", counted_solve)
-    monkeypatch.setattr(hsd._ReducedKKT, "solve_reduced", counted_solve_reduced)
+    monkeypatch.setattr(hsd._NullSpaceKKT, "solve_reduced", counted_solve_reduced)
     monkeypatch.setattr(hsd._ReducedKKT, "_equation_residuals", counted_residuals)
-    sp.solve(sp.build_envelope(1, 6, 2, seed=4).problem)
+    sp.solve(problem)
     assert max(evals for _, evals in counts) == 5
     assert all(calls == evals for calls, evals in counts)
+
+
+def _both_directions(problem, z, rhs_mode):
+    """The direction newton_direction takes and the dense-LU direction."""
+    if rhs_mode == "predictor":
+        r_p, r_d, r_g = embedding_residual(problem, z)
+        rhs = (-r_p, -r_d, -r_g, -z.s, -z.kappa)
+    else:
+        rhs = (np.zeros(problem.A.shape[0]), np.zeros(z.x.size), 0.0, -z.psi_x,
+               -(z.kappa - z.mu / z.tau))
+    return newton_direction(problem, z, rhs_mode), hsd._ReducedKKT(problem, z).solve(*rhs)
+
+
+def _stacked(d):
+    return np.concatenate([d.dx, [d.dtau], d.dy, d.ds, [d.dkappa]])
+
+
+def _assert_same_direction(got, dense):
+    assert got.residual <= 1e-9 and dense.residual <= 1e-9
+    want = _stacked(dense)
+    assert np.linalg.norm(_stacked(got) - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def _iterate_after(problem, iterations):
+    r = sp.solve(problem, SolverParams(max_iters=iterations))
+    assert r.status == hsd.ITERATION_LIMIT
+    return r.final
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("iterations", [0, 15])
+def test_null_space_direction_matches_dense_lu(k, iterations):
+    # m = 2 and m = 3 identity blocks, at the start and at mu near 1e-3
+    problem = sp.build_envelope(1, 6, k, seed=2).problem
+    assert problem.identity_blocks
+    z = _iterate_after(problem, iterations) if iterations else initial_point(problem)
+    for mode in ("predictor", "corrector"):
+        _assert_same_direction(*_both_directions(problem, z, mode))
+
+
+def test_null_space_direction_matches_dense_lu_env1d100(envelope_1d_100):
+    problem = envelope_1d_100.built.problem
+    for z in (initial_point(problem), _iterate_after(problem, 25)):
+        for mode in ("predictor", "corrector"):
+            _assert_same_direction(*_both_directions(problem, z, mode))
+    # At the final iterate (mu near 1e-11) the reduced system is singular to
+    # working precision along the ray (x, y, tau) of the embedding, and no
+    # factorization fixes the direction's component along it; both still
+    # solve the full system to the accuracy the residual-shrink identity needs.
+    for mode in ("predictor", "corrector"):
+        for d in _both_directions(problem, envelope_1d_100.result.final, mode):
+            assert d.residual <= 1e-9
+
+
+def _kkt_classes(monkeypatch, problem, z):
+    """The factorization classes whose solve newton_direction runs at z."""
+    used = []
+    solve = hsd._ReducedKKT.solve
+
+    def spy(self, *rhs):
+        used.append(type(self))
+        return solve(self, *rhs)
+
+    monkeypatch.setattr(hsd._ReducedKKT, "solve", spy)
+    newton_direction(problem, z, "predictor")
+    return used
+
+
+def test_identity_blocks_detection():
+    U = sp.cheb2_points(4).U
+    cone = sp.build_cone(sp.cheb2_points(4), [ones_weight], [2])
+    eye = np.eye(U)
+    b, c, pair = np.ones(U), np.ones(2 * U), sp.ProductCone([cone, cone])
+    assert ConicProblem(np.hstack([eye, eye]), b, c, pair).identity_blocks
+    # one block, a permuted block, a scaled block: not the envelope form
+    assert not ConicProblem(eye, b, np.ones(U), cone).identity_blocks
+    assert not ConicProblem(np.hstack([eye, eye[::-1]]), b, c, pair).identity_blocks
+    assert not ConicProblem(np.hstack([eye, 2 * eye]), b, c, pair).identity_blocks
+    # a problem file of the envelope form takes the null-space path too
+    problem = small_problem()
+    loaded = fileio.problem_from_dict(fileio.problem_to_dict(problem))
+    assert loaded.identity_blocks
+
+
+def test_only_identity_blocks_take_the_null_space_path(monkeypatch,
+                                                      contradictory_rows_solved):
+    envelope = small_problem()
+    z = initial_point(envelope)
+    assert _kkt_classes(monkeypatch, envelope, z) == [hsd._NullSpaceKKT]
+    # polymin's 1^T and contradictory rows go through the dense LU
+    poly = sp.chebyshev_poly(2, 4, np.linspace(-1.0, 1.0, sp.space_dim(2, 4)))
+    for problem in (sp.build_polymin(poly).problem, contradictory_rows_solved.built.problem):
+        assert not problem.identity_blocks
+        assert _kkt_classes(monkeypatch, problem, initial_point(problem)) == [hsd._ReducedKKT]
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_singular_null_space_system_is_a_numerical_failure(monkeypatch):
+    # zero Hessians make R = 0; the barrier norms still work through an
+    # identity Cholesky factor, so the first Newton direction meets R
+    monkeypatch.setattr(wsos.BarrierEval, "hessian",
+                        property(lambda ev: np.zeros((ev.cone.U, ev.cone.U))))
+    monkeypatch.setattr(wsos.BarrierEval, "hess_chol",
+                        property(lambda ev: np.eye(ev.cone.U)))
+    r = sp.solve(small_problem())
+    assert r.status == hsd.NUMERICAL_FAILURE
+    assert "non-finite" in r.message
 
 
 def test_unknown_rhs_mode():

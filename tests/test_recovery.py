@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import sospoly as sp
 from sospoly.hsd import initial_point
 from sospoly.recovery import (
+    _SUM_CHUNK_TERMS,
     _compensated_adjoint_sum,
     _sum2_rows,
     lower_bound_certificate,
@@ -219,6 +221,25 @@ def test_compensated_sum_within_an_ulp_of_fsum(envelope_small, envelope_1d_100,
         assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
 
+def test_compensated_sum_allocates_its_buffers_once(envelope_1d_100):
+    # the term buffer (one chunk of points) and the sum's two scratch
+    # halves are the only large arrays, whatever the number of chunks
+    factor = envelope_1d_100.built.cone.factors[0]
+    rng = np.random.default_rng(5)
+    grams = [G @ G.T for G in (rng.standard_normal((L, L)) for L in factor.dims)]
+    width = sum(S.size for S in grams)
+    rows = _SUM_CHUNK_TERMS // width
+    assert factor.U > 2 * rows  # several chunks, the last one partial
+    tracemalloc.start()
+    try:
+        _compensated_adjoint_sum(factor, grams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beyond the two buffers: numpy's iteration buffers and small vectors
+    assert peak <= 2 * 8 * rows * width + (256 << 10)
+
+
 def test_sum2_bound_under_heavy_cancellation():
     # rows of large terms that cancel to a small sum, condition number ~1e16
     rng = np.random.default_rng(31)
@@ -234,7 +255,7 @@ def test_sum2_bound_under_heavy_cancellation():
     bound = eps * np.abs(exact) + gamma**2 * np.abs(P).sum(axis=1)
     naive = P.sum(axis=1)
     assert np.any(np.abs(naive - exact) > bound)  # the inputs do need compensation
-    got = _sum2_rows(P.copy())
+    got = _sum2_rows(P.copy(), np.empty((2, rows, m // 2)))
     assert np.all(np.abs(got - exact) <= bound)
 
 
