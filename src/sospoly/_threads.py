@@ -6,8 +6,9 @@ one to two orders of magnitude. BLAS threading is therefore pinned to one
 thread at import (set SOSPOLY_KEEP_BLAS_THREADS=1 to opt out): through
 threadpoolctl when it is installed, otherwise through the BLAS thread
 variables, which take effect only if numpy has not loaded its BLAS yet. Long
-single factorizations that benefit from threads re-enable them locally via
-:func:`blas_parallel` (threadpoolctl only).
+single factorizations that benefit from threads (the LU that selects the
+discrete Leja points in ``interpolation.approx_fekete_points``) re-enable
+them locally via :func:`blas_parallel` (threadpoolctl only).
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Command-line front end: build/solve/certify workflows and file I/O.
 
-Exit codes: 0 optimal, 2 usage or schema error, 3 conclusive non-optimal
-status (infeasible / ill-posed), 4 numerical failure or iteration limit,
-5 certificate verification failure. The SOLVER_TOL environment variable
-overrides the default gap/infeasibility tolerance when the flags are absent.
+Exit codes: 0 optimal, 2 usage or schema error or an input too large to
+allocate, 3 conclusive non-optimal status (infeasible / ill-posed),
+4 numerical failure or iteration limit, 5 certificate verification failure.
+The SOLVER_TOL environment variable overrides the default
+gap/infeasibility tolerance when the flags are absent.
 """
 
 from __future__ import annotations
@@ -290,6 +291,9 @@ def main(argv=None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # e.g. a Fekete candidate grid too large to hold
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .wsos import NotInteriorError, as_product
+from .wsos import NotInteriorError, ProductBarrierEval, as_product
 
 
 class SolverError(RuntimeError):
@@ -216,36 +216,43 @@ def try_make_iterate(problem, x, tau, y, s, kappa, screen=None):
     try:
         barrier = None
         if screen is not None and tau > 0 and kappa > 0:
-            barrier = problem.cone.barrier(x)
-            if _screened_out(problem, screen, barrier, tau, s, kappa):
+            barrier = _screened_barrier(problem, screen, x, tau, s, kappa)
+            if barrier is None:
                 return None
         return make_iterate(problem, x, tau, y, s, kappa, barrier)
     except NotInteriorError:
         return None
 
 
-def _screened_out(problem, z: Iterate, barrier, tau, s, kappa) -> bool:
-    """Whether the point's neighborhood norm provably exceeds BETA*mu.
+def _screened_barrier(problem, z: Iterate, x, tau, s, kappa):
+    """The barrier at x, or None once the neighborhood norm provably exceeds BETA*mu.
 
     The tau term alone decides exactly, since the full norm only adds a
-    nonnegative term under the root. The cone terms are lower-bounded one
-    factor at a time with z's cached Hessian factors as reference
-    (``BarrierEval.inv_quadform_lower_bound``), against (BETA*mu)^2 with a
-    relative margin of 1e-6 for the rounding in which the bounds differ
-    from the exact norm.
+    nonnegative term under the root; it is checked before any barrier. Then
+    each cone factor's barrier is evaluated in turn and its term
+    lower-bounded with z's cached Hessian factors as reference
+    (``BarrierEval.inv_quadform_lower_bound``), so the first factor whose
+    running bound passes (BETA*mu)^2 (with a relative margin of 1e-6 for
+    the rounding in which the bounds differ from the exact norm) spares the
+    barriers of the rest. Raises NotInteriorError where a factor's barrier
+    does.
     """
-    mu = _mu(problem, barrier.x, tau, s, kappa)
+    x = np.asarray(x, dtype=float)
+    mu = _mu(problem, x, tau, s, kappa)
     tau_term = (tau * (kappa - mu / tau)) ** 2
     if math.sqrt(tau_term) > BETA * mu:
-        return True
+        return None
     cap = (1.0 + 1e-6) * (BETA * mu) ** 2
     bound = tau_term
-    for ev, ref, sl in zip(barrier.factor_evals, z.barrier.factor_evals,
-                           problem.cone.slices()):
+    cone = problem.cone
+    evals = []
+    for factor, ref, sl in zip(cone.factors, z.barrier.factor_evals, cone.slices()):
+        ev = factor.barrier(x[sl])
         bound += ev.inv_quadform_lower_bound(s[sl], mu, ref)
         if bound > cap:
-            return True
-    return False
+            return None
+        evals.append(ev)
+    return ProductBarrierEval(cone, x, evals)
 
 
 def initial_point(problem: ConicProblem) -> Iterate:

@@ -219,53 +219,64 @@ def _tensor_basis_values(axes, deg: int) -> np.ndarray:
     each column is the Kronecker product of per-axis Chebyshev tables. The
     products are taken left to right, as in ``cheb_basis_values``, and the
     axes go through the same ``BoxDomain.to_unit`` map, so the values agree
-    bit for bit. Returns shape (N, dim V_{n,deg}) in C order.
+    bit for bit. Returns shape (N, dim V_{n,deg}) in Fortran order: the
+    transpose of the C-ordered (dim V_{n,deg}, N) product, so that LAPACK
+    factors it without a copy.
     """
     unit = BoxDomain.unit(1)
     tables = [_cheb_values_1d(unit.to_unit(ax[:, None])[:, 0], deg) for ax in axes]
     exps = np.array(graded_lex_exponents(len(axes), deg))
-    values = np.ascontiguousarray(tables[0][:, exps[:, 0]])
+    values = np.ascontiguousarray(tables[0][:, exps[:, 0]].T)
     for k in range(1, len(axes)):
-        factor = tables[k][:, exps[:, k]]
-        # C order, so that the reshape is a view and the result's transpose
-        # is Fortran ordered
-        values = np.multiply(values[:, None, :], factor[None, :, :], order="C")
-        values = values.reshape(-1, exps.shape[0])
-    return values
+        factor = tables[k][:, exps[:, k]].T
+        # C order, so that the reshape is a view
+        values = np.multiply(values[:, :, None], factor[:, None, :], order="C")
+        values = values.reshape(exps.shape[0], -1)
+    return values.T
 
 
 def approx_fekete_points(n: int, deg: int) -> PointSet:
-    """Approximate Fekete points for degree-``deg`` interpolation on [-1, 1]^n.
+    """Discrete Leja points for degree-``deg`` interpolation on [-1, 1]^n.
 
     Candidates come from the product Chebyshev grid
-    C_{2,deg+1} x ... x C_{2,deg+n}; from its Chebyshev Vandermonde, a
-    column-pivoted QR factorization of the transpose greedily selects
-    U = dim V_{n,deg} rows approximately maximizing the absolute Vandermonde
-    determinant. The selected set is unisolvent by construction.
+    C_{2,deg+1} x ... x C_{2,deg+n}. An LU factorization with partial row
+    pivoting of their N x U Chebyshev Vandermonde (U = dim V_{n,deg})
+    greedily picks, column by column, the candidate row of largest residual;
+    its first U row pivots are the discrete Leja points (Bos, De Marchi,
+    Sommariva and Vianello, SIAM J. Numer. Anal. 2010), a greedy
+    approximation of Fekete points, which maximize the absolute Vandermonde
+    determinant. They are returned in candidate index order, and are
+    unisolvent unless the factorization raises UnisolvencyError. An
+    unallocatable candidate Vandermonde raises MemoryError naming its size.
     """
     if n < 1 or deg < 1:
         raise ValueError("need n >= 1 and deg >= 1")
     U = space_dim(n, deg)
     axes = [np.cos(np.arange(d + 1) * np.pi / d) for d in range(deg + 1, deg + n + 1)]
     sizes = [a.size for a in axes]
-    assert math.prod(sizes) >= U, "candidate grid smaller than target dimension"
+    N = math.prod(sizes)
+    assert N >= U, "candidate grid smaller than target dimension"
 
-    # V^T is Fortran ordered, so LAPACK factors it in place; the pivoted QR
-    # selects the largest-residual-norm row of V at each step, first index on
-    # exact ties. The workspace comes from the lwork=-1 query, as in
-    # scipy.linalg.qr: another size changes the blocking, and with it the
-    # pivots on near ties.
-    VT = _tensor_basis_values(axes, deg).T
-    geqp3 = scipy.linalg.lapack.dgeqp3
+    try:
+        V = _tensor_basis_values(axes, deg)
+    except MemoryError as exc:
+        raise MemoryError(
+            f"the candidate Vandermonde for n={n}, deg={deg} has {N:,} rows x "
+            f"{U} columns, {N * U * 8 / 1e9:.1f} GB of doubles; it cannot be "
+            "allocated") from exc
+    # V is Fortran ordered, so LAPACK factors it in place; partial pivoting
+    # takes the first index on exact ties
     with _threads.blas_parallel():
-        work = geqp3(VT, lwork=-1, overwrite_a=1)[-2]
-        qr, jpvt, _, _, info = geqp3(VT, lwork=int(work[0].real), overwrite_a=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK dgeqp3")
-    rdiag = np.abs(np.diag(qr))
-    if rdiag.min() <= 1e-12 * rdiag.max():
-        raise UnisolvencyError("pivoted QR found a nearly singular row subset")
-    selected = np.unravel_index(np.sort(jpvt[:U] - 1), sizes)  # 1-based pivots
+        lu, piv, info = scipy.linalg.lapack.dgetrf(V, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrf")
+    udiag = np.abs(np.diag(lu))
+    if info > 0 or udiag.min() <= 1e-12 * udiag.max():
+        raise UnisolvencyError("LU found a nearly singular row subset")
+    rows = np.arange(N)
+    for i, p in enumerate(piv):  # 0-based row swaps, applied in order
+        rows[i], rows[p] = rows[p], rows[i]
+    selected = np.unravel_index(np.sort(rows[:U]), sizes)
     return PointSet(np.column_stack([ax[i] for ax, i in zip(axes, selected)]),
                     BoxDomain.unit(n))
 

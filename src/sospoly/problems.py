@@ -140,7 +140,7 @@ def build_envelope(n: int, d: int, k: int, box: BoxDomain | None = None,
 
     The decision polynomial is carried by its values at a degree-2d
     unisolvent set (second-kind Chebyshev for n=1, Padua for n=2,
-    approximate Fekete otherwise). The conic standard form has A equal to
+    discrete Leja points from ``approx_fekete_points`` otherwise). The conic standard form has A equal to
     k horizontally stacked identities, b the box quadrature weights, and c
     the stacked values of the f_j; the cone is the k-fold product of the
     dual weighted-SOS cone with boundary weights of degree d-1 and a

@@ -67,6 +67,11 @@ def envelope_small():
 
 
 @pytest.fixture(scope="session")
+def envelope_small_k3():
+    return _solve_envelope(1, 5, 3, seed=1, tol=1e-8)
+
+
+@pytest.fixture(scope="session")
 def butcher_solved():
     return _solve_polymin("butcher")
 

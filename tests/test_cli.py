@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sospoly as sp
-from sospoly import fileio
+from sospoly import fileio, interpolation
 from sospoly.cli import build_parser, main
 from sospoly.fileio import SchemaError
 
@@ -80,6 +80,18 @@ def test_points_usage_errors(capsys):
     assert main(["points", "--family", "padua", "--n", "3", "--d", "2"]) == 2
     assert main(["points", "--family", "fekete", "--n", "2"]) == 2
     assert main(["points", "--family", "cheb2"]) == 2
+
+
+def test_unallocatable_candidate_grid_exits_2(monkeypatch, capsys):
+    def no_memory(axes, deg):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(interpolation, "_tensor_basis_values", no_memory)
+    assert main(["points", "--family", "fekete", "--n", "9", "--d", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "259,459,200 rows x 220 columns" in err
+    assert main(["polymin", "--builtin", "caprasse"]) == 2
+    assert "cannot be allocated" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2():

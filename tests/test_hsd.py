@@ -355,33 +355,53 @@ def test_predictor_never_tries_a_step_twice(monkeypatch, alpha_init):
 
 
 def _predict(problem, z, monkeypatch, screen):
-    verdicts = []
-    screened_out = hsd._screened_out
+    """predictor_step from z with the screen, or with one that never rejects;
+    also the screen's verdicts and the number of factor barriers evaluated."""
+    verdicts, evaluated = [], []
+    screened_barrier = hsd._screened_barrier
+    factor_barrier = wsos.InterpWSOSCone.barrier
 
-    def recording(*args):
-        verdicts.append(screened_out(*args) if screen else False)
-        return verdicts[-1]
+    def recording(problem, z, x, tau, s, kappa):
+        if screen:
+            barrier = screened_barrier(problem, z, x, tau, s, kappa)
+        else:
+            barrier = problem.cone.barrier(x)
+        verdicts.append(barrier is None)
+        return barrier
 
-    monkeypatch.setattr(hsd, "_screened_out", recording)
-    return predictor_step(problem, z), verdicts
+    def counting(self, x):
+        evaluated.append(1)
+        return factor_barrier(self, x)
+
+    with monkeypatch.context() as m:
+        m.setattr(hsd, "_screened_barrier", recording)
+        m.setattr(wsos.InterpWSOSCone, "barrier", counting)
+        return predictor_step(problem, z), verdicts, len(evaluated)
 
 
 @pytest.mark.parametrize("late", [False, True])
-def test_predictor_screen_changes_no_step(envelope_small, monkeypatch, late):
+def test_predictor_screen_changes_no_step(envelope_small, envelope_small_k3,
+                                          monkeypatch, late):
     # the same step and bit-identical iterate with the screen as with a
     # screen that never rejects, at the start and at the last iterate, whose
-    # Hessian Cholesky needed jitter
-    problem = envelope_small.built.problem
-    z = envelope_small.result.final if late else initial_point(problem)
-    assert z.barrier.jittered == late
-    screened, verdicts = _predict(problem, z, monkeypatch, screen=True)
-    plain, _ = _predict(problem, z, monkeypatch, screen=False)
-    assert late or any(verdicts)  # at the start the screen does reject
-    assert screened.alpha == plain.alpha and screened.stalled == plain.stalled
-    for key in ("x", "y", "s"):
-        assert np.array_equal(getattr(screened.iterate, key), getattr(plain.iterate, key))
-    for key in ("tau", "kappa", "mu", "nbhd_norm"):
-        assert getattr(screened.iterate, key) == getattr(plain.iterate, key)
+    # Hessian Cholesky needed jitter, for k = 2 and k = 3 cone factors; a
+    # trial rejected at an early factor never evaluates the later factors'
+    # barriers
+    for k, inst in ((2, envelope_small), (3, envelope_small_k3)):
+        problem = inst.built.problem
+        assert len(problem.cone.factors) == k
+        z = inst.result.final if late else initial_point(problem)
+        assert z.barrier.jittered == late
+        screened, verdicts, evaluated = _predict(problem, z, monkeypatch, screen=True)
+        plain, _, evaluated_plain = _predict(problem, z, monkeypatch, screen=False)
+        assert late or any(verdicts)  # at the start the screen does reject
+        assert evaluated < evaluated_plain
+        assert screened.alpha == plain.alpha and screened.stalled == plain.stalled
+        for key in ("x", "y", "s"):
+            assert np.array_equal(getattr(screened.iterate, key),
+                                  getattr(plain.iterate, key))
+        for key in ("tau", "kappa", "mu", "nbhd_norm"):
+            assert getattr(screened.iterate, key) == getattr(plain.iterate, key)
 
 
 def test_corrector_noop_inside_eta():

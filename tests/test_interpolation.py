@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from sospoly import interpolation
 from sospoly.interpolation import (
     BoxDomain,
     PointSet,
@@ -178,19 +180,47 @@ def _candidate_grid(n, deg):
 def test_tensor_candidate_matrix_equals_basis_values(n, deg):
     axes, grid = _candidate_grid(n, deg)
     V = _tensor_basis_values(axes, deg)
-    assert V.flags.c_contiguous
+    assert V.flags.f_contiguous  # what LAPACK factors without a copy
     assert np.array_equal(V, cheb_basis_values(grid, BoxDomain.unit(n), deg))
 
 
 @pytest.mark.parametrize("n,deg", [(1, 2), (2, 4), (3, 6), (3, 8), (4, 4)])
-def test_fekete_matches_explicit_grid_qr(n, deg):
-    # the algorithm written out: explicit grid, its Vandermonde, scipy's
-    # pivoted QR of the transpose, the first U pivots in index order
+def test_fekete_matches_explicit_grid_lu(n, deg):
+    # the algorithm written out: explicit grid, its Vandermonde, scipy's LU
+    # with partial pivoting, the row swaps applied in order, the first U
+    # rows in index order
     axes, grid = _candidate_grid(n, deg)
     V = cheb_basis_values(grid, BoxDomain.unit(n), deg)
-    _, _, piv = scipy.linalg.qr(V.T, mode="economic", pivoting=True)
-    want = grid[np.sort(piv[:space_dim(n, deg)])]
+    _, piv = scipy.linalg.lu_factor(V)
+    rows = np.arange(grid.shape[0])
+    for i, p in enumerate(piv):
+        rows[i], rows[p] = rows[p], rows[i]
+    want = grid[np.sort(rows[:space_dim(n, deg)])]
     assert np.array_equal(approx_fekete_points(n, deg).points, want)
+
+
+def test_fekete_factors_the_candidates_in_place():
+    # 30,240 candidates x 126 columns: the peak is that one array plus the
+    # Kronecker stage before it (a tenth of it, the last axis has 10
+    # points) and small tables; a C to Fortran copy would double it
+    approx_fekete_points(2, 2)  # first-call imports outside the traced peak
+    one = 30_240 * 126 * 8
+    tracemalloc.start()
+    try:
+        approx_fekete_points(5, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= one + one // 10 + 2**20
+
+
+def test_fekete_unallocatable_candidates_name_their_size(monkeypatch):
+    def no_memory(axes, deg):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(interpolation, "_tensor_basis_values", no_memory)
+    with pytest.raises(MemoryError, match=r"259,459,200 rows x 220 columns, 456\.6 GB"):
+        approx_fekete_points(9, 3)
 
 
 def test_fekete_box_rescale_once():
