@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-
-import numpy as np
 
 from . import fileio, hsd, problems, recovery
 from .fileio import SchemaError
@@ -67,27 +66,15 @@ def _solver_params(args) -> hsd.SolverParams:
         raise UsageError(str(exc)) from exc
 
 
-def _leaves(obj):
-    if isinstance(obj, list):
-        for item in obj:
-            yield from _leaves(item)
-    else:
-        yield obj
-
-
 def _parse_box(text: str, n: int) -> BoxDomain:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"--box must be JSON like [[lo,hi],...]: {exc}") from exc
-    # booleans and numeric strings would pass np.asarray(..., dtype=float)
-    bad = [v for v in _leaves(data) if not fileio._is_number(v)]
-    if bad:
-        raise UsageError(f"--box bounds must be JSON numbers, got {bad[0]!r}")
     try:
-        arr = np.asarray(data, dtype=float)
-    except ValueError as exc:  # ragged nesting
-        raise UsageError(f"--box must be JSON like [[lo,hi],...]: {exc}") from exc
+        arr = fileio._num_list(data, "bounds")
+    except SchemaError as exc:
+        raise UsageError(f"--box must hold JSON numbers like [[lo,hi],...]; {exc}") from exc
     if arr.shape != (n, 2):
         raise UsageError(f"--box needs {n} [lo,hi] pairs")
     try:
@@ -150,6 +137,8 @@ def cmd_envelope(args) -> int:
 
 def cmd_polymin(args) -> int:
     params = _solver_params(args)
+    if not (math.isfinite(args.lb_margin) and args.lb_margin >= 0):
+        raise UsageError(f"--lb-margin must be a finite number >= 0, got {args.lb_margin!r}")
     if args.builtin and args.poly:
         raise UsageError("pass either --builtin or --poly, not both")
     if args.builtin:

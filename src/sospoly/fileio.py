@@ -45,10 +45,22 @@ def write_atomic(path: str, text: str):
         raise
 
 
+def _finite_or_null(obj):
+    """obj with every NaN or infinite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def dump_json(path: str, obj):
-    obj = dict(obj)
+    """Write obj as strict JSON: non-finite floats become null."""
+    obj = _finite_or_null(obj)
     obj["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _require(cond, path, msg):

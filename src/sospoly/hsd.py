@@ -57,6 +57,8 @@ class SolverParams:
     def __post_init__(self):
         if not (0.0 < self.tol_gap < 1.0 and 0.0 < self.tol_infeas < 1.0):
             raise ValueError("tolerances must lie in (0, 1)")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
 
 
 def _rank(M):
@@ -557,32 +559,35 @@ def corrector_phase(problem, z: Iterate):
     return z, steps, jittered
 
 
+def _residuals(problem, z: Iterate):
+    """Relative primal and dual infeasibility and relative gap at z."""
+    A, b, c = problem.A, problem.b, problem.c
+    by = float(b @ z.y)
+    rel_p = np.linalg.norm(A @ z.x - b * z.tau) / (z.tau * (1.0 + np.linalg.norm(b)))
+    rel_d = np.linalg.norm(A.T @ z.y + z.s - c * z.tau) / (z.tau * (1.0 + np.linalg.norm(c)))
+    rel_gap = (float(c @ z.x) - by) / (z.tau + abs(by))
+    return rel_p, rel_d, rel_gap
+
+
 def classify(problem, z: Iterate, params: SolverParams):
     """Status decision for the current iterate, or None to keep iterating."""
     A, b, c = problem.A, problem.b, problem.c
-    x, tau, y, s, kappa = z.x, z.tau, z.y, z.s, z.kappa
-    norm_b = np.linalg.norm(b)
-    norm_c = np.linalg.norm(c)
-    by = float(b @ y)
-    cx = float(c @ x)
-
-    rel_p = np.linalg.norm(A @ x - b * tau) / (tau * (1.0 + norm_b))
-    rel_d = np.linalg.norm(A.T @ y + s - c * tau) / (tau * (1.0 + norm_c))
-    rel_gap = (cx - by) / (tau + abs(by))
+    rel_p, rel_d, rel_gap = _residuals(problem, z)
     if rel_p <= params.tol_infeas and rel_d <= params.tol_infeas and rel_gap <= params.tol_gap:
-        return OPTIMAL, (rel_p, rel_d, rel_gap)
-    if by > 0 and np.linalg.norm(A.T @ y + s) <= params.tol_infeas * by:
-        return PRIMAL_INFEASIBLE, (rel_p, rel_d, rel_gap)
-    if -cx > 0 and np.linalg.norm(A @ x) <= params.tol_infeas * (-cx):
-        return DUAL_INFEASIBLE, (rel_p, rel_d, rel_gap)
-    if z.mu < 1e-12 and tau < 1e-12:
-        return ILL_POSED, (rel_p, rel_d, rel_gap)
+        return OPTIMAL
+    by = float(b @ z.y)
+    if by > 0 and np.linalg.norm(A.T @ z.y + z.s) <= params.tol_infeas * by:
+        return PRIMAL_INFEASIBLE
+    cx = float(c @ z.x)
+    if -cx > 0 and np.linalg.norm(A @ z.x) <= params.tol_infeas * (-cx):
+        return DUAL_INFEASIBLE
+    if z.mu < 1e-12 and z.tau < 1e-12:
+        return ILL_POSED
     return None
 
 
-def _result_from(problem, z: Iterate, status, metrics, iterations, trace,
-                 jittered, message=""):
-    rel_p, rel_d, rel_gap = metrics if metrics is not None else (math.nan,) * 3
+def _result_from(problem, z: Iterate, status, iterations, trace, jittered, message=""):
+    rel_p, rel_d, rel_gap = _residuals(problem, z)
     scale = z.tau if (status == OPTIMAL and z.tau > 0) else 1.0
     if jittered:
         note = f"Hessian jitter at {jittered} accepted iterate(s)"
@@ -618,10 +623,9 @@ def solve(problem: ConicProblem, params: SolverParams | None = None) -> SolveRes
     jittered = int(z.barrier.jittered)
     last_alpha = None
     for it_count in range(params.max_iters):
-        decided = classify(problem, z, params)
-        if decided is not None:
-            return _result_from(problem, z, decided[0], decided[1], it_count, trace,
-                                jittered)
+        status = classify(problem, z, params)
+        if status is not None:
+            return _result_from(problem, z, status, it_count, trace, jittered)
         try:
             res_before = embedding_residual_norm(problem, z)
             outcome = predictor_step(problem, z, alpha_init=last_alpha)
@@ -629,19 +633,18 @@ def solve(problem: ConicProblem, params: SolverParams | None = None) -> SolveRes
                 trace.append(TraceRecord(it_count, z.mu, 0.0, z.nbhd_norm, 0,
                                          res_before, res_before, stalled=True))
                 return _result_from(
-                    problem, z, NUMERICAL_FAILURE, None, it_count + 1, trace, jittered,
+                    problem, z, NUMERICAL_FAILURE, it_count + 1, trace, jittered,
                     message=f"predictor stalled: no acceptable step above {ALPHA_MIN:g}",
                 )
             last_alpha = outcome.alpha
             z = outcome.iterate
             jittered += z.barrier.jittered
             res_after = embedding_residual_norm(problem, z)
-            decided = classify(problem, z, params)
-            if decided is not None:
+            status = classify(problem, z, params)
+            if status is not None:
                 trace.append(TraceRecord(it_count, z.mu, outcome.alpha, z.nbhd_norm,
                                          0, res_before, res_after, corrected=False))
-                return _result_from(problem, z, decided[0], decided[1],
-                                    it_count + 1, trace, jittered)
+                return _result_from(problem, z, status, it_count + 1, trace, jittered)
             # a miss continues from the last corrector iterate
             z, c_steps, c_jittered = corrector_phase(problem, z)
             jittered += c_jittered
@@ -651,17 +654,16 @@ def solve(problem: ConicProblem, params: SolverParams | None = None) -> SolveRes
                                      c_steps, res_before, res_after, stalled=missed))
             if misses >= MAX_STALLS:
                 return _result_from(
-                    problem, z, NUMERICAL_FAILURE, None, it_count + 1, trace, jittered,
+                    problem, z, NUMERICAL_FAILURE, it_count + 1, trace, jittered,
                     message=f"corrector failed to reach N(eta) in {R_C} steps "
                             f"(norm {z.nbhd_norm:.3e} vs {ETA * z.mu:.3e})",
                 )
         except SolverError as exc:
-            return _result_from(problem, z, NUMERICAL_FAILURE, None, it_count + 1,
+            return _result_from(problem, z, NUMERICAL_FAILURE, it_count + 1,
                                 trace, jittered, message=str(exc))
 
-    decided = classify(problem, z, params)
-    if decided is not None:
-        return _result_from(problem, z, decided[0], decided[1], params.max_iters, trace,
-                            jittered)
-    return _result_from(problem, z, ITERATION_LIMIT, None, params.max_iters, trace,
-                        jittered, message="iteration limit reached")
+    status = classify(problem, z, params)
+    if status is not None:
+        return _result_from(problem, z, status, params.max_iters, trace, jittered)
+    return _result_from(problem, z, ITERATION_LIMIT, params.max_iters, trace, jittered,
+                        message="iteration limit reached")

@@ -14,6 +14,7 @@ each S_i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,8 @@ def lower_bound_certificate(cone: InterpWSOSCone, iterate, c, lb,
 
     Returns the certificate and the certified value vector c - lb.
     """
+    if not math.isfinite(lb):
+        raise ValueError(f"lb must be a finite number, got {lb!r}")
     z = iterate
     shift = float(z.y[0]) / z.tau - lb
     if shift < 0:
@@ -215,6 +218,8 @@ def verify_certificate(cone: InterpWSOSCone, s, cert: GramCertificate,
     compensated (Sum2) summation and tests positive semidefiniteness of each block via LDL
     factorization; the pointwise identity is reported at all U points.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
     s = np.asarray(s, dtype=float)
     recomputed = _compensated_adjoint_sum(cone, cert.grams)
     pointwise = recomputed - s

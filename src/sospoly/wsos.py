@@ -118,9 +118,9 @@ class InterpWSOSCone:
         return BarrierEval(self, x, value, lam_chols, halves)
 
 
-# relative diagonal shifts (times the mean diagonal of H) that hess_chol tries
-# when the plain Cholesky of the Hessian fails
-JITTER_LADDER = (1e-14, 1e-12, 1e-10)
+# relative diagonal shift (times the mean diagonal of H) that hess_chol
+# retries with when the plain Cholesky of the Hessian fails
+HESS_SHIFT = 1e-14
 
 
 @dataclass
@@ -141,8 +141,8 @@ class BarrierEval:
     _gradient: np.ndarray = None
     _hessian: np.ndarray = None
     _hess_chol: np.ndarray = None
-    # relative diagonal shift (times the mean diagonal of H) that hess_chol
-    # needed: 0.0 for a plain Cholesky, None until hess_chol has run
+    # relative diagonal shift that hess_chol applied: 0.0 for a plain
+    # Cholesky, HESS_SHIFT for the shifted one, None until hess_chol has run
     hess_jitter: float | None = None
 
     def _form_derivatives(self):
@@ -176,18 +176,13 @@ class BarrierEval:
             except np.linalg.LinAlgError:
                 # H is PSD up to round-off but its accumulated entries can
                 # miss positive definiteness marginally at late iterates;
-                # jitter at the scale of that rounding noise
-                scale = float(np.mean(np.diag(H)))
-                eye = np.eye(H.shape[0])
-                for eps in JITTER_LADDER:
-                    try:
-                        self._hess_chol = np.linalg.cholesky(H + eps * scale * eye)
-                        self.hess_jitter = eps
-                        break
-                    except np.linalg.LinAlgError:
-                        continue
-                else:
-                    raise NotInteriorError("barrier Hessian not positive definite")
+                # shift once at the scale of that rounding noise
+                shift = HESS_SHIFT * float(np.mean(np.diag(H)))
+                try:
+                    self._hess_chol = np.linalg.cholesky(H + shift * np.eye(H.shape[0]))
+                except np.linalg.LinAlgError:
+                    raise NotInteriorError("barrier Hessian not positive definite") from None
+                self.hess_jitter = HESS_SHIFT
         return self._hess_chol
 
     def hess_apply(self, v: np.ndarray) -> np.ndarray:
@@ -207,12 +202,14 @@ class BarrierEval:
                                  reference: "BarrierEval") -> float:
         """Lower bound on psi^T (H + eps I)^{-1} psi, psi = s + mu g, without H.
 
-        Holds for every diagonal shift eps that ``hess_chol`` may add. With
+        Holds for the two factors ``hess_chol`` can make, eps = 0 and the
+        shift eps = HESS_SHIFT * mean(diag H) used below, and for no larger
+        eps. With
         w = reference.hess_inv_apply(psi), any w gives
 
             psi^T (H + eps I)^{-1} psi >= (w^T psi)^2 / w^T (H + eps I) w,
 
-        tight when the reference Hessian is close to H, and
+        tight when the reference factor is close to H + eps I, and
         w^T H w = sum_i ||V_i diag(w) V_i^T||_F^2 costs O(sum_i L_i^2 U)
         against O(sum_i L_i U^2) for H. g and diag H are taken as the
         column sums -sum_i colsum(V_i∘V_i) and sum_i colsum(V_i∘V_i)^2,
@@ -230,7 +227,7 @@ class BarrierEval:
         for V in self._halves:
             M = (V * w) @ V.T
             w_hess_w += float(np.sum(M * M))
-        shift = JITTER_LADDER[-1] * float(np.mean(sum(d * d for d in diag_q)))
+        shift = HESS_SHIFT * float(np.mean(sum(d * d for d in diag_q)))
         return w_psi * w_psi / (w_hess_w + shift * float(w @ w))
 
 

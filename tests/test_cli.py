@@ -66,9 +66,10 @@ def test_points_box_rescale(tmp_path):
     np.testing.assert_allclose(vals, [0.0, 0.5, 1.0], atol=1e-15)
 
 
-@pytest.mark.parametrize("box", ['[[true, 2]]', '[["-1", "1"]]'])
+@pytest.mark.parametrize("box", ['[[true, 2]]', '[["-1", "1"]]', '[[-1e999, 1]]'])
 def test_points_box_non_numeric_bounds_are_usage_errors(tmp_path, capsys, box):
-    # np.asarray(dtype=float) would turn true into 1.0 and "-1" into -1.0
+    # np.asarray(dtype=float) would turn true into 1.0 and "-1" into -1.0;
+    # -1e999 parses as -inf
     out = tmp_path / "pts.json"
     assert main(["points", "--family", "cheb2", "--d", "2", "--out", str(out),
                  "--box", box]) == 2
@@ -126,6 +127,36 @@ def test_envelope_deterministic_output(tmp_path):
                      "--out", str(out)]) == 0
         outs.append(strip_timestamp(out.read_text()))
     assert outs[0] == outs[1]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_iteration_limit_reports_finite_residuals_in_strict_json(tmp_path, capsys):
+    out = tmp_path / "sol.json"
+    assert main(["envelope", "--n", "1", "--d", "2", "--max-iters", "1",
+                 "--out", str(out)]) == 4
+    assert "IterationLimit" in capsys.readouterr().out
+    with open(out) as fh:
+        sol = json.load(fh, parse_constant=_reject_constant)
+    assert sol["status"] == "IterationLimit"
+    assert all(np.isfinite(v) for v in sol["residuals"].values())
+
+
+@pytest.mark.parametrize("argv", [
+    ["envelope", "--n", "1", "--d", "2", "--max-iters", "-1"],
+    ["polymin", "--builtin", "caprasse", "--lb-margin", "nan"],
+    ["polymin", "--builtin", "caprasse", "--lb-margin", "inf"],
+    ["polymin", "--builtin", "caprasse", "--lb-margin", "-1"],
+])
+def test_flags_that_void_a_check_are_usage_errors(monkeypatch, capsys, argv):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved despite a usage error")
+
+    monkeypatch.setattr(sp.hsd, "solve", no_solve)
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_envelope_degree_zero_is_a_usage_error(capsys):
@@ -368,6 +399,17 @@ def test_certify_malformed_iterate_is_a_schema_error(tmp_path, capsys, solved_fi
     sol_path.write_text(json.dumps(sol))
     assert main(["certify", "--problem", str(prob_path), "--solution", str(sol_path)]) == 2
     assert f"schema error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_certify_tolerance_must_be_finite_and_positive(tmp_path, capsys, solved_files,
+                                                       tol):
+    prob_path, sol = solved_files
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps(sol))
+    assert main(["certify", "--problem", str(prob_path), "--solution", str(sol_path),
+                 "--tol", tol]) == 2
+    assert "tol must be a finite positive number" in capsys.readouterr().err
 
 
 def test_format_only_on_points(tmp_path):

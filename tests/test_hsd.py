@@ -41,6 +41,9 @@ def trivial_problem():
 def test_params_validation():
     with pytest.raises(ValueError):
         SolverParams(tol_gap=2.0)
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverParams(max_iters=-1)
+    assert SolverParams(max_iters=0).max_iters == 0
 
 
 def test_consistent_rank_deficient_A_rejected():
@@ -566,8 +569,7 @@ def test_iteration_limit():
 
 def test_classify_optimal_matches_result(envelope_small):
     p = envelope_small.built.problem
-    decided = classify(p, envelope_small.result.final, SolverParams())
-    assert decided is not None and decided[0] == hsd.OPTIMAL
+    assert classify(p, envelope_small.result.final, SolverParams()) == hsd.OPTIMAL
 
 
 def test_embedding_residual_norm_consistency(envelope_small):

@@ -4,13 +4,14 @@ import json
 import math
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import sospoly as sp
-from sospoly import fileio, hsd
+from sospoly import fileio, hsd, wsos
 from sospoly.hsd import initial_point
 from sospoly.recovery import (
     PIVOT_TOL,
@@ -74,7 +75,7 @@ def screen_cases(draw):
 @given(screen_cases())
 def test_screen_bound_below_every_jittered_norm(case):
     # the predictor's screen may reject only what the full norm rejects,
-    # whichever diagonal shift the Hessian Cholesky ends up needing
+    # with or without the one diagonal shift the Hessian Cholesky may add
     cone, x, ref, psi, mu = case
     full = cone.barrier(x)
     s = psi - mu * full.gradient
@@ -82,7 +83,7 @@ def test_screen_bound_below_every_jittered_norm(case):
     bound = cone.barrier(x).inv_quadform_lower_bound(s, mu, cone.barrier(ref))
     H = full.hessian
     scale = np.mean(np.diag(H))
-    for eps in (0.0, 1e-14, 1e-12, 1e-10):
+    for eps in (0.0, wsos.HESS_SHIFT):
         half = np.linalg.solve(np.linalg.cholesky(H + eps * scale * np.eye(cone.U)), psi)
         assert bound <= (1.0 + 1e-9) * float(half @ half)
 
@@ -198,11 +199,11 @@ def test_problem_json_round_trip(problem):
 SMALL_PROBLEM = sp.build_envelope(1, 3, 2, seed=1).problem
 START = initial_point(SMALL_PROBLEM)
 N, K = SMALL_PROBLEM.shape[1], SMALL_PROBLEM.shape[0]
-maybe_nan = st.one_of(finite, st.just(math.nan))
+maybe_non_finite = st.one_of(finite, st.sampled_from([math.nan, math.inf, -math.inf]))
 
 
 @given(st.sampled_from([hsd.OPTIMAL, hsd.PRIMAL_INFEASIBLE, hsd.NUMERICAL_FAILURE]),
-       maybe_nan, maybe_nan, st.integers(0, 500), st.integers(0, 500),
+       maybe_non_finite, maybe_non_finite, st.integers(0, 500), st.integers(0, 500),
        st.text(max_size=40), vector(N), vector(K), vector(N))
 def test_solution_json_round_trip(tmp_path_factory, status, pobj, gap, iters,
                                   jittered, message, x, y, s):
@@ -211,12 +212,15 @@ def test_solution_json_round_trip(tmp_path_factory, status, pobj, gap, iters,
                             message=message, jittered_iterates=jittered)
     path = tmp_path_factory.mktemp("solution") / "sol.json"
     fileio.dump_json(str(path), fileio.solution_to_dict(result))
+    with open(path) as fh:  # strict JSON: no NaN or Infinity tokens
+        json.load(fh, parse_constant=lambda name: pytest.fail(f"wrote {name}"))
     data = fileio.load_solution(str(path))
     assert (data["status"], data["iterations"], data["jittered_iterates"],
             data["message"]) == (status, iters, jittered, message)
-    assert np.array_equal([data["primal_objective"], data["dual_objective"],
-                           data["residuals"]["gap"]], [pobj, math.nan, gap],
-                          equal_nan=True)
+    # a non-finite float is written as null
+    expected = [v if math.isfinite(v) else None for v in (pobj, math.nan, gap)]
+    assert [data["primal_objective"], data["dual_objective"],
+            data["residuals"]["gap"]] == expected
     for key, want in (("x", x), ("y", y), ("s", s)):
         assert np.array_equal(data[key], want)
         assert np.array_equal(data["iterate"][key], getattr(START, key))

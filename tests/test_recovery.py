@@ -176,6 +176,14 @@ def test_verify_flags_indefinite_block():
     assert min(report.block_min_pivot) < 0
 
 
+@pytest.mark.parametrize("lb", [math.nan, -math.inf])
+def test_lower_bound_certificate_rejects_a_non_finite_bound(butcher_solved, lb):
+    built = butcher_solved.built
+    with pytest.raises(ValueError, match="lb must be a finite number"):
+        lower_bound_certificate(built.cone.factors[0], butcher_solved.result.final,
+                                built.problem.c, lb)
+
+
 def test_butcher_lower_bound_workflow(butcher_solved):
     # certify s = f(t_u) - LB at LB slightly below the computed bound
     r = butcher_solved.result

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+import sospoly as sp
+from sospoly.hsd import initial_point, try_make_iterate
 from sospoly.interpolation import cheb2_points, points_for_degree
 from sospoly.wsos import (
+    HESS_SHIFT,
     ConeConstructionError,
     InterpWSOSCone,
     NotInteriorError,
@@ -242,9 +245,49 @@ def test_hess_chol_records_jitter(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", fail_on_hessian)
     L = ev.hess_chol
-    assert ev.hess_jitter == 1e-14
+    assert ev.hess_jitter == HESS_SHIFT == 1e-14
     shift = 1e-14 * np.mean(np.diag(ev.hessian))
     np.testing.assert_allclose(L @ L.T, ev.hessian + shift * np.eye(cone.U), rtol=1e-12)
+
+    # when the shifted factor fails too there is no further rung: the point
+    # is not interior, and a trial iterate there comes out as None
+    problem = sp.build_envelope(1, 3, 2, seed=1).problem
+    U = problem.cone.factors[0].U
+    assert all(f.U == U and U not in f.dims for f in problem.cone.factors)
+    z = initial_point(problem)
+    calls = []
+
+    def fail_on_hessians(a):
+        if a.shape == (U, U):
+            calls.append(1)
+            raise np.linalg.LinAlgError("forced")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail_on_hessians)
+    ev = problem.cone.factors[0].barrier(z.x[:U])
+    with pytest.raises(NotInteriorError, match="Hessian"):
+        ev.hess_chol
+    assert len(calls) == 2 and ev.hess_jitter is None
+    assert try_make_iterate(problem, z.x, z.tau, z.y, z.s, z.kappa) is None
+
+
+def test_screen_bound_tight_at_jittered_iterates(envelope_small, envelope_small_k3):
+    # the screen's shift term is the one shift hess_chol can add, so at a
+    # final iterate, each factor whose Hessian Cholesky needed that shift
+    # has a bound, with its own evaluation as reference, that meets the
+    # exact norm (a factor factored without it stays below by the shift
+    # term); without the shift term the bound would pass the norm by more
+    # than the screen's 1e-6 rounding margin
+    for inst in (envelope_small, envelope_small_k3):
+        problem, z = inst.built.problem, inst.result.final
+        shifted = [(factor, ref, sl) for factor, ref, sl in zip(
+            problem.cone.factors, z.barrier.factor_evals, problem.cone.slices())
+            if ref.hess_jitter == HESS_SHIFT]
+        assert shifted
+        for factor, ref, sl in shifted:
+            bound = factor.barrier(z.x[sl]).inv_quadform_lower_bound(z.s[sl], z.mu, ref)
+            exact = ref.inv_quadform(z.s[sl] + z.mu * ref.gradient)
+            assert (1.0 - 1e-5) * exact <= bound <= (1.0 + 1e-6) * exact
 
 
 def test_conditioning_bound():
