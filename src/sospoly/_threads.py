@@ -5,15 +5,11 @@ the solver's many small dense operations contend for cores and slow down by
 one to two orders of magnitude. BLAS threading is therefore pinned to one
 thread at import (set SOSPOLY_KEEP_BLAS_THREADS=1 to opt out): through
 threadpoolctl when it is installed, otherwise through the BLAS thread
-variables, which take effect only if numpy has not loaded its BLAS yet. Long
-single factorizations that benefit from threads (the LU that selects the
-discrete Leja points in ``interpolation.approx_fekete_points``) re-enable
-them locally via :func:`blas_parallel` (threadpoolctl only).
+variables, which take effect only if numpy has not loaded its BLAS yet.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import sys
 
@@ -46,10 +42,3 @@ def limit_blas_threads():
 
         _limiter = threadpoolctl.threadpool_limits(limits=1, user_api="blas")
 
-
-def blas_parallel():
-    """Context that restores multi-threaded BLAS for one large operation."""
-    if threadpoolctl is None or _limiter is None:
-        return contextlib.nullcontext()
-    return threadpoolctl.threadpool_limits(limits=os.cpu_count() or 1,
-                                           user_api="blas")

@@ -38,6 +38,10 @@ def write_atomic(path: str, text: str):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp makes the file 0600; give it the mode a plain open would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -71,6 +75,10 @@ def _require(cond, path, msg):
 def _is_number(v) -> bool:
     # JSON true/false load as bool, a subclass of int
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _read_json(path: str):
@@ -144,7 +152,7 @@ def problem_from_dict(data: dict) -> ConicProblem:
         _require(entry.get("type") == "wsos_interp", f"{path}.type",
                  "only 'wsos_interp' cones are supported")
         U = entry.get("U")
-        _require(isinstance(U, int) and U > 0, f"{path}.U", "expected a positive integer")
+        _require(_is_int(U) and U > 0, f"{path}.U", "expected a positive integer")
         blocks_data = entry.get("blocks")
         _require(isinstance(blocks_data, list) and blocks_data, f"{path}.blocks",
                  "expected a nonempty array")
@@ -152,7 +160,7 @@ def problem_from_dict(data: dict) -> ConicProblem:
         for bi, bd in enumerate(blocks_data):
             bpath = f"{path}.blocks[{bi}]"
             L = bd.get("L") if isinstance(bd, dict) else None
-            _require(isinstance(L, int) and 0 < L <= U, f"{bpath}.L",
+            _require(_is_int(L) and 0 < L <= U, f"{bpath}.L",
                      f"expected an integer in [1, {U}]")
             flat = _num_list(bd.get("P_scaled"), f"{bpath}.P_scaled")
             _require(flat.size == U * L, f"{bpath}.P_scaled",
@@ -302,8 +310,8 @@ def polyspec_from_dict(data: dict) -> PolySpec:
             raise SchemaError(f"name: {exc.args[0]}") from exc
     n = data.get("n")
     deg = data.get("deg")
-    _require(isinstance(n, int) and n >= 1, "n", "expected a positive integer")
-    _require(isinstance(deg, int) and deg >= 0, "deg", "expected a nonnegative integer")
+    _require(_is_int(n) and n >= 1, "n", "expected a positive integer")
+    _require(_is_int(deg) and deg >= 0, "deg", "expected a nonnegative integer")
     box_data = data.get("box")
     _require(isinstance(box_data, dict) and "lower" in box_data and "upper" in box_data,
              "box", "expected an object with 'lower' and 'upper'")

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg.lapack
 
-from . import _threads
-
 
 class UnisolvencyError(ValueError):
     """Raised when a point set cannot support the requested basis."""
@@ -211,24 +209,23 @@ def cheb_vandermonde(pts: PointSet, deg: int, normalized: bool = False) -> np.nd
     return cheb_basis_values(pts.points, pts.box, deg, normalized=normalized)
 
 
-def _tensor_basis_values(axes, deg: int) -> np.ndarray:
-    """``cheb_basis_values`` on the product grid of ``axes``, without the grid.
+def _tensor_basis_values(axis: np.ndarray, n: int, deg: int) -> np.ndarray:
+    """``cheb_basis_values`` on the n-fold product grid of ``axis``, without the grid.
 
     Row r is the grid point whose per-axis indices are
-    ``np.unravel_index(r, [a.size for a in axes])`` (last axis fastest), so
-    each column is the Kronecker product of per-axis Chebyshev tables. The
+    ``np.unravel_index(r, (axis.size,) * n)`` (last axis fastest), so each
+    column is the Kronecker product of rows of one Chebyshev table. The
     products are taken left to right, as in ``cheb_basis_values``, and the
-    axes go through the same ``BoxDomain.to_unit`` map, so the values agree
-    bit for bit. Returns shape (N, dim V_{n,deg}) in Fortran order: the
-    transpose of the C-ordered (dim V_{n,deg}, N) product, so that LAPACK
-    factors it without a copy.
+    axis goes through the same ``BoxDomain.to_unit`` map, so the values
+    agree bit for bit. Returns shape (N, dim V_{n,deg}) in Fortran order:
+    the transpose of the C-ordered (dim V_{n,deg}, N) product, so that
+    LAPACK factors it without a copy.
     """
-    unit = BoxDomain.unit(1)
-    tables = [_cheb_values_1d(unit.to_unit(ax[:, None])[:, 0], deg) for ax in axes]
-    exps = np.array(graded_lex_exponents(len(axes), deg))
-    values = np.ascontiguousarray(tables[0][:, exps[:, 0]].T)
-    for k in range(1, len(axes)):
-        factor = tables[k][:, exps[:, k]].T
+    table = _cheb_values_1d(BoxDomain.unit(1).to_unit(axis[:, None])[:, 0], deg)
+    exps = np.array(graded_lex_exponents(n, deg))
+    values = np.ascontiguousarray(table[:, exps[:, 0]].T)
+    for k in range(1, n):
+        factor = table[:, exps[:, k]].T
         # C order, so that the reshape is a view
         values = np.multiply(values[:, :, None], factor[:, None, :], order="C")
         values = values.reshape(exps.shape[0], -1)
@@ -238,8 +235,10 @@ def _tensor_basis_values(axes, deg: int) -> np.ndarray:
 def approx_fekete_points(n: int, deg: int) -> PointSet:
     """Discrete Leja points for degree-``deg`` interpolation on [-1, 1]^n.
 
-    Candidates come from the product Chebyshev grid
-    C_{2,deg+1} x ... x C_{2,deg+n}. An LU factorization with partial row
+    Candidates come from the tensor Chebyshev-Lobatto grid C_deg^n, the
+    (deg+1)^n points whose coordinates are cos(pi j / deg), j = 0..deg; it
+    is a weakly admissible mesh for total degree deg (Calvi and Levenberg,
+    J. Approx. Theory 2008). An LU factorization with partial row
     pivoting of their N x U Chebyshev Vandermonde (U = dim V_{n,deg})
     greedily picks, column by column, the candidate row of largest residual;
     its first U row pivots are the discrete Leja points (Bos, De Marchi,
@@ -252,13 +251,10 @@ def approx_fekete_points(n: int, deg: int) -> PointSet:
     if n < 1 or deg < 1:
         raise ValueError("need n >= 1 and deg >= 1")
     U = space_dim(n, deg)
-    axes = [np.cos(np.arange(d + 1) * np.pi / d) for d in range(deg + 1, deg + n + 1)]
-    sizes = [a.size for a in axes]
-    N = math.prod(sizes)
-    assert N >= U, "candidate grid smaller than target dimension"
-
+    axis = np.cos(np.arange(deg + 1) * np.pi / deg)
+    N = axis.size ** n
     try:
-        V = _tensor_basis_values(axes, deg)
+        V = _tensor_basis_values(axis, n, deg)
     except MemoryError as exc:
         raise MemoryError(
             f"the candidate Vandermonde for n={n}, deg={deg} has {N:,} rows x "
@@ -266,8 +262,7 @@ def approx_fekete_points(n: int, deg: int) -> PointSet:
             "allocated") from exc
     # V is Fortran ordered, so LAPACK factors it in place; partial pivoting
     # takes the first index on exact ties
-    with _threads.blas_parallel():
-        lu, piv, info = scipy.linalg.lapack.dgetrf(V, overwrite_a=1)
+    lu, piv, info = scipy.linalg.lapack.dgetrf(V, overwrite_a=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrf")
     udiag = np.abs(np.diag(lu))
@@ -276,9 +271,8 @@ def approx_fekete_points(n: int, deg: int) -> PointSet:
     rows = np.arange(N)
     for i, p in enumerate(piv):  # 0-based row swaps, applied in order
         rows[i], rows[p] = rows[p], rows[i]
-    selected = np.unravel_index(np.sort(rows[:U]), sizes)
-    return PointSet(np.column_stack([ax[i] for ax, i in zip(axes, selected)]),
-                    BoxDomain.unit(n))
+    selected = np.unravel_index(np.sort(rows[:U]), (axis.size,) * n)
+    return PointSet(axis[np.column_stack(selected)], BoxDomain.unit(n))
 
 
 def points_for_degree(n: int, deg: int, box: BoxDomain | None = None) -> PointSet:

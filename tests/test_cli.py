@@ -2,7 +2,9 @@
 
 import argparse
 import json
+import os
 import re
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +53,17 @@ def test_points_fekete(tmp_path, capsys):
     assert len(read_json(out)) == 455
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+def test_output_files_honor_the_umask(tmp_path, umask):
+    out = tmp_path / "pts.json"
+    old = os.umask(umask)
+    try:
+        assert main(["points", "--family", "cheb2", "--d", "2", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+
 def test_points_csv_format(tmp_path):
     out = tmp_path / "pts.csv"
     assert main(["points", "--family", "cheb1", "--d", "2", "--out", str(out),
@@ -84,13 +97,13 @@ def test_points_usage_errors(capsys):
 
 
 def test_unallocatable_candidate_grid_exits_2(monkeypatch, capsys):
-    def no_memory(axes, deg):
+    def no_memory(axis, n, deg):
         raise MemoryError("Unable to allocate")
 
     monkeypatch.setattr(interpolation, "_tensor_basis_values", no_memory)
-    assert main(["points", "--family", "fekete", "--n", "9", "--d", "3"]) == 2
+    assert main(["points", "--family", "fekete", "--n", "3", "--d", "100"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "259,459,200 rows x 220 columns" in err
+    assert err.startswith("error: ") and "1,030,301 rows x 176851 columns" in err
     assert main(["polymin", "--builtin", "caprasse"]) == 2
     assert "cannot be allocated" in capsys.readouterr().err
 
@@ -303,10 +316,16 @@ def orthant_problem_dict(N):
     (1, "A", [[True]]),          # a boolean that numpy would read as 1.0
     (2, "c", [True, 2]),         # numpy makes this the integer array [1, 2]
     (1, "b", [10**400]),         # an integer beyond the float range
+    (1, "cones[0].U", True),     # JSON true loads as a bool, a subclass of int
+    (1, "cones[0].blocks[0].L", True),
 ])
 def test_solve_non_numeric_entry_is_a_schema_error(tmp_path, capsys, N, field, value):
     data = orthant_problem_dict(N)
-    data[field] = value
+    *keys, last = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", field)]
+    parent = data
+    for k in keys:
+        parent = parent[k]
+    parent[last] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert main(["solve", "--problem", str(bad)]) == 2
@@ -320,6 +339,17 @@ def test_polymin_object_among_coeffs_is_a_schema_error(tmp_path, capsys):
     poly.write_text(json.dumps(spec))
     assert main(["polymin", "--poly", str(poly)]) == 2
     assert "schema error: coeffs:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["n", "deg"])
+def test_polymin_boolean_degree_field_is_a_schema_error(tmp_path, capsys, field):
+    spec = {"kind": "chebyshev", "n": 1, "deg": 1, "coeffs": [1.0, 0.5],
+            "box": {"lower": [-1.0], "upper": [1.0]}}
+    spec[field] = True  # JSON true loads as a bool, a subclass of int
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps(spec))
+    assert main(["polymin", "--poly", str(poly)]) == 2
+    assert f"schema error: {field}:" in capsys.readouterr().err
 
 
 def test_solve_missing_rows_rejected(tmp_path):

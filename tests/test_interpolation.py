@@ -144,9 +144,7 @@ def test_fekete_beats_naive_row_choice():
     pts = approx_fekete_points(2, 4)
     V_sel = cheb_vandermonde(pts, 2 * 2)
     # naive choice: first 15 points of the same candidate grid
-    ax1 = np.cos(np.arange(6) * np.pi / 5)
-    ax2 = np.cos(np.arange(7) * np.pi / 6)
-    grid = np.array([(a, b) for a in ax1 for b in ax2])
+    _, grid = _candidate_grid(2, 4)
     naive = PointSet(grid[:15], BoxDomain.unit(2))
     V_naive = cheb_vandermonde(naive, 4)
     _, ld_sel = np.linalg.slogdet(cheb_vandermonde(pts, 4))
@@ -171,15 +169,15 @@ def test_generated_points_unisolvent(n, deg):
 
 
 def _candidate_grid(n, deg):
-    """The Fekete candidate axes and their explicit product grid, last axis fastest."""
-    axes = [np.cos(np.arange(d + 1) * np.pi / d) for d in range(deg + 1, deg + n + 1)]
-    return axes, np.array(list(itertools.product(*axes)))
+    """The Fekete candidate axis and its explicit grid C_deg^n, last axis fastest."""
+    axis = np.cos(np.arange(deg + 1) * np.pi / deg)
+    return axis, np.array(list(itertools.product(axis, repeat=n)))
 
 
 @pytest.mark.parametrize("n,deg", [(1, 2), (1, 9), (2, 4), (3, 3), (4, 2)])
 def test_tensor_candidate_matrix_equals_basis_values(n, deg):
-    axes, grid = _candidate_grid(n, deg)
-    V = _tensor_basis_values(axes, deg)
+    axis, grid = _candidate_grid(n, deg)
+    V = _tensor_basis_values(axis, n, deg)
     assert V.flags.f_contiguous  # what LAPACK factors without a copy
     assert np.array_equal(V, cheb_basis_values(grid, BoxDomain.unit(n), deg))
 
@@ -189,7 +187,7 @@ def test_fekete_matches_explicit_grid_lu(n, deg):
     # the algorithm written out: explicit grid, its Vandermonde, scipy's LU
     # with partial pivoting, the row swaps applied in order, the first U
     # rows in index order
-    axes, grid = _candidate_grid(n, deg)
+    _, grid = _candidate_grid(n, deg)
     V = cheb_basis_values(grid, BoxDomain.unit(n), deg)
     _, piv = scipy.linalg.lu_factor(V)
     rows = np.arange(grid.shape[0])
@@ -200,27 +198,28 @@ def test_fekete_matches_explicit_grid_lu(n, deg):
 
 
 def test_fekete_factors_the_candidates_in_place():
-    # 30,240 candidates x 126 columns: the peak is that one array plus the
-    # Kronecker stage before it (a tenth of it, the last axis has 10
-    # points) and small tables; a C to Fortran copy would double it
+    # 5^6 = 15,625 candidates x 210 columns (26 MB): the peak is that one
+    # array plus the Kronecker stage before it (a fifth of it, each axis
+    # has 5 points) and small tables; a C to Fortran copy would double it
     approx_fekete_points(2, 2)  # first-call imports outside the traced peak
-    one = 30_240 * 126 * 8
+    one = 15_625 * 210 * 8
     tracemalloc.start()
     try:
-        approx_fekete_points(5, 4)
+        approx_fekete_points(6, 4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= one + one // 10 + 2**20
+    assert peak <= one + one // 5 + 2**20
 
 
 def test_fekete_unallocatable_candidates_name_their_size(monkeypatch):
-    def no_memory(axes, deg):
+    def no_memory(axis, n, deg):
         raise MemoryError("Unable to allocate")
 
     monkeypatch.setattr(interpolation, "_tensor_basis_values", no_memory)
-    with pytest.raises(MemoryError, match=r"259,459,200 rows x 220 columns, 456\.6 GB"):
-        approx_fekete_points(9, 3)
+    with pytest.raises(MemoryError,
+                       match=r"1,030,301 rows x 176851 columns, 1457\.7 GB"):
+        approx_fekete_points(3, 100)
 
 
 def test_fekete_box_rescale_once():
