@@ -96,23 +96,19 @@ def _write_solution(args, result: hsd.SolveResult) -> int:
 def cmd_points(args) -> int:
     family = args.family
     n = args.n
+    if args.d is None:
+        raise UsageError(f"--d is required for the {family} family")
     if family in ("cheb1", "cheb2"):
         if n not in (None, 1):
             raise UsageError(f"family {family} is univariate; drop --n or use --n 1")
-        if args.d is None:
-            raise UsageError("--d is required for Chebyshev families")
         pts = cheb1_points(args.d) if family == "cheb1" else cheb2_points(args.d)
     elif family == "padua":
         if n not in (None, 2):
             raise UsageError("padua requires n=2")
-        if args.d is None:
-            raise UsageError("--d is required for the padua family")
         pts = padua_points(args.d)
     elif family == "fekete":
         if n is None or n < 1:
             raise UsageError("fekete requires --n")
-        if args.d is None:
-            raise UsageError("--d is required for the fekete family")
         pts = approx_fekete_points(n, args.d)
     else:
         raise UsageError(f"unknown family {family!r}")

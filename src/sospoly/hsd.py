@@ -284,11 +284,6 @@ def embedding_residual_norm(problem, z: Iterate) -> float:
     return math.sqrt(float(r_p @ r_p) + float(r_d @ r_d) + r_g * r_g)
 
 
-def _max_abs(M, axis):
-    """max |M| along an axis, without an |M| temporary."""
-    return np.maximum(M.max(axis=axis), -M.min(axis=axis))
-
-
 class _ReducedKKT:
     """Factorization of the (N+k+1)-dimensional reduced Newton system at z.
 
@@ -336,9 +331,9 @@ class _ReducedKKT:
         M[-1, -1] = self.tau_diag
         # max-norm equilibration: mu*H rows dwarf the A rows near convergence,
         # which otherwise costs several digits in the LU solve
-        self._rs = 1.0 / np.maximum(_max_abs(M, axis=1), 1e-300)
+        self._rs = 1.0 / np.maximum(np.abs(M).max(axis=1), 1e-300)
         M *= self._rs[:, None]
-        self._cs = 1.0 / np.maximum(_max_abs(M, axis=0), 1e-300)
+        self._cs = 1.0 / np.maximum(np.abs(M).max(axis=0), 1e-300)
         M *= self._cs[None, :]
         self._lu = scipy.linalg.lu_factor(M, overwrite_a=True, check_finite=False)
 

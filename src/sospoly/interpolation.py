@@ -160,15 +160,35 @@ def scale_to_box(pts: PointSet, box: BoxDomain) -> PointSet:
 
 
 def _cheb_values_1d(t: np.ndarray, deg: int) -> np.ndarray:
-    """T_0..T_deg at each entry of t via the three-term recurrence; shape (len(t), deg+1)."""
+    """T_0..T_deg at each entry of t via the three-term recurrence; shape (deg+1, len(t))."""
     t = np.asarray(t, dtype=float)
-    out = np.empty((t.size, deg + 1))
-    out[:, 0] = 1.0
+    out = np.empty((deg + 1, t.size))
+    out[0] = 1.0
     if deg >= 1:
-        out[:, 1] = t
+        out[1] = t
     for i in range(2, deg + 1):
-        out[:, i] = 2.0 * t * out[:, i - 1] - out[:, i - 2]
+        out[i] = 2.0 * t * out[i - 1] - out[i - 2]
     return out
+
+
+def _basis_rows(points: np.ndarray, box: BoxDomain, deg: int, out: np.ndarray,
+                normalized: bool = False) -> None:
+    """Fill ``out``, shape (dim V_{n,deg}, M), with the transposed basis values.
+
+    Row j of ``out`` holds T_alpha at the M points for the j-th graded-lex
+    alpha, filled in place as the left-to-right product of rows of
+    per-coordinate Chebyshev tables, one contiguous row at a time.
+    """
+    unit_pts = box.to_unit(points)
+    tables = [_cheb_values_1d(unit_pts[:, k], deg) for k in range(box.n)]
+    if normalized:
+        scale = np.full((deg + 1, 1), math.sqrt(2.0 / (deg + 1)))
+        scale[0] = math.sqrt(1.0 / (deg + 1))
+        tables = [vals * scale for vals in tables]
+    for row, alpha in zip(out, graded_lex_exponents(box.n, deg)):
+        row[:] = tables[0][alpha[0]]
+        for table, a in zip(tables[1:], alpha[1:]):
+            row *= table[a]
 
 
 def cheb_basis_values(points: np.ndarray, box: BoxDomain, deg: int,
@@ -177,25 +197,15 @@ def cheb_basis_values(points: np.ndarray, box: BoxDomain, deg: int,
 
     Column j holds T_alpha(t) = prod_k T_{alpha_k}(t_k) with alpha running over
     graded-lex multi-indices of total degree <= deg; coordinates are affinely
-    mapped from ``box`` onto [-1, 1] before the three-term recurrence.
+    mapped from ``box`` onto [-1, 1] before the three-term recurrence. The
+    result is C-contiguous.
     """
     if deg < 0:
         raise ValueError("degree must be nonnegative")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    unit_pts = box.to_unit(points)
-    per_coord = [_cheb_values_1d(unit_pts[:, k], deg) for k in range(box.n)]
-    if normalized:
-        scale = np.full(deg + 1, math.sqrt(2.0 / (deg + 1)))
-        scale[0] = math.sqrt(1.0 / (deg + 1))
-        per_coord = [vals * scale for vals in per_coord]
-    exps = graded_lex_exponents(box.n, deg)
-    V = np.empty((points.shape[0], len(exps)))
-    for j, alpha in enumerate(exps):
-        col = per_coord[0][:, alpha[0]]
-        for k in range(1, box.n):
-            col = col * per_coord[k][:, alpha[k]]
-        V[:, j] = col
-    return V
+    rows = np.empty((space_dim(box.n, deg), points.shape[0]))
+    _basis_rows(points, box, deg, rows, normalized)
+    return np.ascontiguousarray(rows.T)
 
 
 def cheb_vandermonde(pts: PointSet, deg: int, normalized: bool = False) -> np.ndarray:
@@ -207,29 +217,6 @@ def cheb_vandermonde(pts: PointSet, deg: int, normalized: bool = False) -> np.nd
     Chebyshev points of degree ``deg`` in one dimension.
     """
     return cheb_basis_values(pts.points, pts.box, deg, normalized=normalized)
-
-
-def _tensor_basis_values(axis: np.ndarray, n: int, deg: int) -> np.ndarray:
-    """``cheb_basis_values`` on the n-fold product grid of ``axis``, without the grid.
-
-    Row r is the grid point whose per-axis indices are
-    ``np.unravel_index(r, (axis.size,) * n)`` (last axis fastest), so each
-    column is the Kronecker product of rows of one Chebyshev table. The
-    products are taken left to right, as in ``cheb_basis_values``, and the
-    axis goes through the same ``BoxDomain.to_unit`` map, so the values
-    agree bit for bit. Returns shape (N, dim V_{n,deg}) in Fortran order:
-    the transpose of the C-ordered (dim V_{n,deg}, N) product, so that
-    LAPACK factors it without a copy.
-    """
-    table = _cheb_values_1d(BoxDomain.unit(1).to_unit(axis[:, None])[:, 0], deg)
-    exps = np.array(graded_lex_exponents(n, deg))
-    values = np.ascontiguousarray(table[:, exps[:, 0]].T)
-    for k in range(1, n):
-        factor = table[:, exps[:, k]].T
-        # C order, so that the reshape is a view
-        values = np.multiply(values[:, :, None], factor[:, None, :], order="C")
-        values = values.reshape(exps.shape[0], -1)
-    return values.T
 
 
 def approx_fekete_points(n: int, deg: int) -> PointSet:
@@ -245,24 +232,35 @@ def approx_fekete_points(n: int, deg: int) -> PointSet:
     Sommariva and Vianello, SIAM J. Numer. Anal. 2010), a greedy
     approximation of Fekete points, which maximize the absolute Vandermonde
     determinant. They are returned in candidate index order, and are
-    unisolvent unless the factorization raises UnisolvencyError. An
-    unallocatable candidate Vandermonde raises MemoryError naming its size.
+    unisolvent unless the factorization raises UnisolvencyError.
+
+    The grid is formed explicitly (last coordinate fastest) and its
+    Vandermonde is filled as the C-ordered U x N array of
+    ``cheb_basis_values`` rows, whose transpose LAPACK factors in place.
+    Both arrays are allocated before anything is computed, so an
+    unallocatable candidate set raises MemoryError naming its size at once.
     """
     if n < 1 or deg < 1:
         raise ValueError("need n >= 1 and deg >= 1")
     U = space_dim(n, deg)
-    axis = np.cos(np.arange(deg + 1) * np.pi / deg)
-    N = axis.size ** n
+    N = (deg + 1) ** n
     try:
-        V = _tensor_basis_values(axis, n, deg)
+        grid = np.empty((N, n))
+        VT = np.empty((U, N))
     except MemoryError as exc:
         raise MemoryError(
             f"the candidate Vandermonde for n={n}, deg={deg} has {N:,} rows x "
             f"{U} columns, {N * U * 8 / 1e9:.1f} GB of doubles; it cannot be "
             "allocated") from exc
-    # V is Fortran ordered, so LAPACK factors it in place; partial pivoting
-    # takes the first index on exact ties
-    lu, piv, info = scipy.linalg.lapack.dgetrf(V, overwrite_a=1)
+    axis = np.cos(np.arange(deg + 1) * np.pi / deg)
+    cells = grid.reshape((deg + 1,) * n + (n,))
+    for k in range(n):
+        cells[..., k] = axis.reshape((-1,) + (1,) * (n - 1 - k))
+    box = BoxDomain.unit(n)
+    _basis_rows(grid, box, deg, VT)
+    # VT.T is Fortran ordered, so LAPACK factors it in place; partial
+    # pivoting takes the first index on exact ties
+    lu, piv, info = scipy.linalg.lapack.dgetrf(VT.T, overwrite_a=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrf")
     udiag = np.abs(np.diag(lu))
@@ -271,8 +269,7 @@ def approx_fekete_points(n: int, deg: int) -> PointSet:
     rows = np.arange(N)
     for i, p in enumerate(piv):  # 0-based row swaps, applied in order
         rows[i], rows[p] = rows[p], rows[i]
-    selected = np.unravel_index(np.sort(rows[:U]), (axis.size,) * n)
-    return PointSet(axis[np.column_stack(selected)], BoxDomain.unit(n))
+    return PointSet(grid[np.sort(rows[:U])], box)
 
 
 def points_for_degree(n: int, deg: int, box: BoxDomain | None = None) -> PointSet:

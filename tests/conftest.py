@@ -87,16 +87,31 @@ def magnetism_solved():
 
 
 @pytest.fixture(scope="session")
-def contradictory_rows_solved():
+def perturbed_rows_problem():
+    """Factory: rows 1'x = 1 and (1 + eps*t)'x = 2 over univariate SOS quartics.
+
+    With eps = 0 the rows contradict each other. Otherwise they ask for
+    t'x = 1/eps with 1'x = 1, and the Hankel matrix of the moments
+    m_k = sum_u x_u t_u^k must be PSD, so m_2 >= 1/eps^2, m_4 >= 1/eps^4 and
+    every feasible x has ||x||_1 >= eps^-4: nearly infeasible for small eps.
+    """
     pts = sp.cheb2_points(4)
     cone = sp.build_cone(pts, [lambda t: np.ones(t.shape[0])], [2])
-    A = np.vstack([np.ones(pts.U), np.ones(pts.U)])
-    b = np.array([1.0, 2.0])
-    c = 2.0 + pts.points[:, 0] ** 2
-    problem = sp.ConicProblem(A, b, c, cone)
+
+    def build(eps):
+        A = np.vstack([np.ones(pts.U), np.ones(pts.U) + eps * pts.points[:, 0]])
+        b = np.array([1.0, 2.0])
+        c = 2.0 + pts.points[:, 0] ** 2
+        return sp.ConicProblem(A, b, c, cone)
+    return build
+
+
+@pytest.fixture(scope="session")
+def contradictory_rows_solved(perturbed_rows_problem):
+    problem = perturbed_rows_problem(0.0)
     t0 = time.perf_counter()
     result = sp.solve(problem)
-    built = sp.BuiltProblem(problem, problem.cone, pts)
+    built = sp.BuiltProblem(problem, problem.cone, sp.cheb2_points(4))
     return SolvedInstance(built, result, time.perf_counter() - t0)
 
 

@@ -5,6 +5,8 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,8 @@ import sospoly as sp
 from sospoly import fileio, interpolation
 from sospoly.cli import build_parser, main
 from sospoly.fileio import SchemaError
+
+SRC = Path(sp.__file__).resolve().parents[1]
 
 
 def read_json(path):
@@ -96,16 +100,27 @@ def test_points_usage_errors(capsys):
     assert main(["points", "--family", "cheb2"]) == 2
 
 
-def test_unallocatable_candidate_grid_exits_2(monkeypatch, capsys):
-    def no_memory(axis, n, deg):
-        raise MemoryError("Unable to allocate")
+def test_oversized_fekete_request_exits_2_at_once():
+    # 13^12 candidates: the 2 PiB grid fails to allocate before a single
+    # multi-index is enumerated, so the command returns at once
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sospoly.cli", "points", "--family", "fekete",
+         "--n", "12", "--d", "12"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "23,298,085,122,481 rows x 2704156 columns" in proc.stderr
 
-    monkeypatch.setattr(interpolation, "_tensor_basis_values", no_memory)
-    assert main(["points", "--family", "fekete", "--n", "3", "--d", "100"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "1,030,301 rows x 176851 columns" in err
+
+def test_unallocatable_candidate_grid_exits_2(monkeypatch, capsys):
+    # caprasse's points drawn from the 13^12 grid instead of its own
+    real = interpolation.approx_fekete_points
+    monkeypatch.setattr(interpolation, "approx_fekete_points", lambda n, deg: real(12, 12))
     assert main(["polymin", "--builtin", "caprasse"]) == 2
-    assert "cannot be allocated" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cannot be allocated" in err
 
 
 def test_unknown_subcommand_exits_2():
@@ -251,6 +266,29 @@ def test_solve_dual_infeasible_problem(tmp_path, dual_infeasible_problem):
     code = main(["solve", "--problem", str(path), "--out", str(out)])
     assert code == 3
     assert read_json(out)["status"] == "DualInfeasible"
+
+
+@pytest.mark.parametrize("eps, code, status", [
+    (1e-8, 3, "PrimalInfeasible"),
+    (1e-2, 4, "NumericalFailure"),
+])
+def test_solve_nearly_infeasible_problem(tmp_path, perturbed_rows_problem, eps, code,
+                                         status):
+    path = tmp_path / "nearly_infeas.json"
+    fileio.dump_json(path.as_posix(), fileio.problem_to_dict(perturbed_rows_problem(eps)))
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--problem", str(path), "--out", str(out)]) == code
+    assert read_json(out)["status"] == status
+
+
+def test_solve_nearly_dual_infeasible_problem(tmp_path, dual_infeasible_problem):
+    p = dual_infeasible_problem
+    path = tmp_path / "nearly_dual_infeas.json"
+    problem = sp.ConicProblem(p.A, p.b, 1e-10 * np.ones(p.c.size), p.cone)
+    fileio.dump_json(path.as_posix(), fileio.problem_to_dict(problem))
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--problem", str(path), "--out", str(out)]) == 0
+    assert read_json(out)["status"] == "Optimal"
 
 
 def test_solve_envelope_with_inputs_scaled_by_1e6(tmp_path):

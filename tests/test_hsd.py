@@ -560,6 +560,39 @@ def test_dual_infeasible_detection(dual_infeasible_problem):
     assert np.linalg.norm(problem.A @ z.x) <= 1e-8 * (-(problem.c @ z.x))
 
 
+@pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10])
+def test_nearly_infeasible_rows_are_primal_infeasible(perturbed_rows_problem, eps):
+    # feasible, but only with ||x||_1 >= eps^-4: at tolerance 1e-8 the
+    # solve certifies infeasibility, and the certificate holds to that tolerance
+    problem = perturbed_rows_problem(eps)
+    r = sp.solve(problem)
+    assert r.status == hsd.PRIMAL_INFEASIBLE
+    z = r.final
+    by = problem.b @ z.y
+    assert by > 0
+    assert np.linalg.norm(problem.A.T @ z.y + z.s) <= 1e-8 * by
+    assert r.iterations <= 21
+
+
+def test_nearly_infeasible_rows_at_1e_2_fail_numerically(perturbed_rows_problem):
+    # ||x||_1 >= 1e8 is needed; neither optimality nor infeasibility is
+    # reached before the predictor stalls, and the status says so
+    r = sp.solve(perturbed_rows_problem(1e-2))
+    assert r.status == hsd.NUMERICAL_FAILURE
+    assert r.message.startswith("predictor stalled")
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+def test_nearly_dual_infeasible_cost_is_optimal(dual_infeasible_problem, eps):
+    # c = eps*1 lies in the cone's interior, nearer its boundary as eps
+    # falls; x = 0 is optimal with value 0
+    p = dual_infeasible_problem
+    r = sp.solve(sp.ConicProblem(p.A, p.b, eps * np.ones(p.c.size), p.cone))
+    assert r.status == hsd.OPTIMAL
+    assert r.dual_objective == 0.0
+    assert abs(r.primal_objective) <= 1e-8
+
+
 def test_iteration_limit():
     problem = sp.build_envelope(1, 6, 2, seed=4).problem
     r = sp.solve(problem, SolverParams(max_iters=2))

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sospoly import interpolation
 from sospoly.interpolation import (
     BoxDomain,
     PointSet,
@@ -26,7 +25,6 @@ from sospoly.interpolation import (
     scale_to_box,
     space_dim,
 )
-from sospoly.interpolation import _tensor_basis_values
 
 RT2 = math.sqrt(2.0) / 2.0
 
@@ -144,7 +142,7 @@ def test_fekete_beats_naive_row_choice():
     pts = approx_fekete_points(2, 4)
     V_sel = cheb_vandermonde(pts, 2 * 2)
     # naive choice: first 15 points of the same candidate grid
-    _, grid = _candidate_grid(2, 4)
+    grid = _candidate_grid(2, 4)
     naive = PointSet(grid[:15], BoxDomain.unit(2))
     V_naive = cheb_vandermonde(naive, 4)
     _, ld_sel = np.linalg.slogdet(cheb_vandermonde(pts, 4))
@@ -169,17 +167,9 @@ def test_generated_points_unisolvent(n, deg):
 
 
 def _candidate_grid(n, deg):
-    """The Fekete candidate axis and its explicit grid C_deg^n, last axis fastest."""
+    """The Fekete candidate grid C_deg^n, last axis fastest."""
     axis = np.cos(np.arange(deg + 1) * np.pi / deg)
-    return axis, np.array(list(itertools.product(axis, repeat=n)))
-
-
-@pytest.mark.parametrize("n,deg", [(1, 2), (1, 9), (2, 4), (3, 3), (4, 2)])
-def test_tensor_candidate_matrix_equals_basis_values(n, deg):
-    axis, grid = _candidate_grid(n, deg)
-    V = _tensor_basis_values(axis, n, deg)
-    assert V.flags.f_contiguous  # what LAPACK factors without a copy
-    assert np.array_equal(V, cheb_basis_values(grid, BoxDomain.unit(n), deg))
+    return np.array(list(itertools.product(axis, repeat=n)))
 
 
 @pytest.mark.parametrize("n,deg", [(1, 2), (2, 4), (3, 6), (3, 8), (4, 4)])
@@ -187,7 +177,7 @@ def test_fekete_matches_explicit_grid_lu(n, deg):
     # the algorithm written out: explicit grid, its Vandermonde, scipy's LU
     # with partial pivoting, the row swaps applied in order, the first U
     # rows in index order
-    _, grid = _candidate_grid(n, deg)
+    grid = _candidate_grid(n, deg)
     V = cheb_basis_values(grid, BoxDomain.unit(n), deg)
     _, piv = scipy.linalg.lu_factor(V)
     rows = np.arange(grid.shape[0])
@@ -199,8 +189,9 @@ def test_fekete_matches_explicit_grid_lu(n, deg):
 
 def test_fekete_factors_the_candidates_in_place():
     # 5^6 = 15,625 candidates x 210 columns (26 MB): the peak is that one
-    # array plus the Kronecker stage before it (a fifth of it, each axis
-    # has 5 points) and small tables; a C to Fortran copy would double it
+    # array plus the grid, its per-coordinate Chebyshev tables (6 x 5 rows
+    # of 15,625, a seventh of it) and small temporaries; a C to Fortran copy
+    # would double it
     approx_fekete_points(2, 2)  # first-call imports outside the traced peak
     one = 15_625 * 210 * 8
     tracemalloc.start()
@@ -212,14 +203,11 @@ def test_fekete_factors_the_candidates_in_place():
     assert peak <= one + one // 5 + 2**20
 
 
-def test_fekete_unallocatable_candidates_name_their_size(monkeypatch):
-    def no_memory(axis, n, deg):
-        raise MemoryError("Unable to allocate")
-
-    monkeypatch.setattr(interpolation, "_tensor_basis_values", no_memory)
-    with pytest.raises(MemoryError,
-                       match=r"1,030,301 rows x 176851 columns, 1457\.7 GB"):
-        approx_fekete_points(3, 100)
+def test_fekete_unallocatable_candidates_name_their_size():
+    # the 13^12 x 12 grid alone is 2 PiB, beyond any process's address
+    # space, so the allocation fails before a multi-index is enumerated
+    with pytest.raises(MemoryError, match=r"23,298,085,122,481 rows x 2704156 columns"):
+        approx_fekete_points(12, 12)
 
 
 def test_fekete_box_rescale_once():
@@ -354,6 +342,6 @@ def test_cheb_basis_values_arbitrary_points_match_vandermonde():
     rng = np.random.default_rng(5)
     raw = rng.uniform(-1, 1, (9, 2))
     box = BoxDomain.unit(2)
-    np.testing.assert_allclose(
-        cheb_basis_values(raw, box, 3),
-        cheb_vandermonde(PointSet(raw, box), 3), atol=0)
+    V = cheb_basis_values(raw, box, 3)
+    assert V.flags.c_contiguous
+    np.testing.assert_allclose(V, cheb_vandermonde(PointSet(raw, box), 3), atol=0)
