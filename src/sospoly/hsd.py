@@ -197,9 +197,9 @@ def make_iterate(problem, x, tau, y, s, kappa, barrier=None) -> Iterate:
     mu = _mu(problem, x, tau, s, kappa)
     if mu <= 0:
         raise NotInteriorError("complementarity gap must stay positive")
-    psi_x = s + mu * barrier.gradient
+    psi_x, quad = barrier.centrality(s, mu)
     psi_tau = kappa - mu / tau
-    norm = math.sqrt(barrier.inv_quadform(psi_x) + (tau * psi_tau) ** 2)
+    norm = math.sqrt(quad + (tau * psi_tau) ** 2)
     return Iterate(x, tau, y, s, kappa, barrier, mu, psi_x, psi_tau, norm)
 
 

@@ -1,5 +1,6 @@
 """Shared fixtures: the expensive benchmark solves are done once per session."""
 
+import math
 import os
 import time
 
@@ -113,6 +114,13 @@ def contradictory_rows_solved(perturbed_rows_problem):
     result = sp.solve(problem)
     built = sp.BuiltProblem(problem, problem.cone, sp.cheb2_points(4))
     return SolvedInstance(built, result, time.perf_counter() - t0)
+
+
+@pytest.fixture
+def sequential_factors(monkeypatch):
+    """Cone factors evaluated in order on the calling thread, whatever their
+    size: for tests that inject faults by call order."""
+    monkeypatch.setattr(sp.wsos, "CONCURRENT_MIN_U", math.inf)
 
 
 @pytest.fixture

@@ -525,7 +525,7 @@ def test_repeated_corrector_misses_end_solve(monkeypatch):
     assert "corrector failed to reach N(eta)" in r.message
 
 
-def test_hessian_jitter_is_counted_and_reported(monkeypatch):
+def test_hessian_jitter_is_counted_and_reported(monkeypatch, sequential_factors):
     problem = small_problem()
     clean = sp.solve(problem)
     assert clean.status == hsd.OPTIMAL

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import sospoly as sp
 from sospoly.hsd import initial_point, try_make_iterate
@@ -227,7 +228,23 @@ def test_hess_inv_apply_roundtrip_and_dense():
     assert np.linalg.norm(ev1.hess_inv_apply(rhs) - dense) <= 1e-8 * np.linalg.norm(dense)
 
 
-def test_hess_chol_records_jitter(monkeypatch):
+def test_hess_inv_apply_is_the_lower_factor_solve(envelope_small_k3, envelope_1d_100):
+    # the factor goes to LAPACK as its upper transpose; the solve is bit for
+    # bit the one with the lower factor, at random points and at the final,
+    # jittered, iterates of solves (U = 11 and 201)
+    rng = np.random.default_rng(13)
+    evals = [cone.barrier(np.ones(cone.U) + 0.3 * rng.uniform(-1, 1, cone.U))
+             for cone in (unweighted_cone(1, 6), boxed_cone(1, 5), boxed_cone(2, 3))]
+    for inst in (envelope_small_k3, envelope_1d_100):
+        evals += inst.result.final.barrier.factor_evals
+    assert any(ev.hess_jitter for ev in evals[3:])
+    for ev in evals:
+        for v in (rng.standard_normal(ev.cone.U), ev.gradient):
+            lower = scipy.linalg.cho_solve((ev.hess_chol, True), v, check_finite=False)
+            assert np.array_equal(ev.hess_inv_apply(v), lower)
+
+
+def test_hess_chol_records_jitter(monkeypatch, sequential_factors):
     cone = unweighted_cone(1, 6)
     x = np.ones(cone.U) + 0.3 * np.random.default_rng(11).uniform(-1, 1, cone.U)
     plain = cone.barrier(x)
