@@ -89,7 +89,8 @@ class ConicProblem:
 
     ``identity_blocks`` records once whether A = [I ... I] is m >= 2
     identity blocks, one per cone factor (the envelope form); the Newton
-    systems of such a problem are solved in the null space of A.
+    systems of such a problem are solved in the null space of A, and
+    ``matvec`` and ``rmatvec`` apply A and A^T by that structure.
     """
 
     def __init__(self, A, b, c, cone):
@@ -112,6 +113,18 @@ class ConicProblem:
     @property
     def shape(self):
         return self.A.shape
+
+    def matvec(self, x):
+        """A x; for A = [I ... I] the sum of x's m blocks, with no dense product."""
+        if self.identity_blocks:
+            return x.reshape(-1, self.A.shape[0]).sum(axis=0)
+        return self.A @ x
+
+    def rmatvec(self, y):
+        """A^T y; for A = [I ... I] y repeated m times, with no dense product."""
+        if self.identity_blocks:
+            return np.tile(y, len(self.cone.factors))
+        return self.A.T @ y
 
 
 @dataclass
@@ -262,7 +275,7 @@ def initial_point(problem: ConicProblem) -> Iterate:
     N = problem.A.shape[1]
     e = np.ones(N)
     g1 = problem.cone.barrier(e).gradient
-    Ae = problem.A @ e
+    Ae = problem.matvec(e)
     delta_p = np.max((1.0 + np.abs(problem.b)) / (1.0 + np.abs(Ae)))
     delta_d = np.max((1.0 + np.abs(g1)) / (1.0 + np.abs(problem.c)))
     delta = math.sqrt(delta_p * delta_d)
@@ -273,8 +286,8 @@ def initial_point(problem: ConicProblem) -> Iterate:
 
 def embedding_residual(problem, z: Iterate):
     """Residual blocks of the self-dual embedding at z."""
-    r_p = problem.A @ z.x - problem.b * z.tau
-    r_d = -problem.A.T @ z.y + problem.c * z.tau - z.s
+    r_p = problem.matvec(z.x) - problem.b * z.tau
+    r_d = -problem.rmatvec(z.y) + problem.c * z.tau - z.s
     r_g = float(problem.b @ z.y - problem.c @ z.x) - z.kappa
     return r_p, r_d, r_g
 
@@ -293,19 +306,21 @@ class _ReducedKKT:
         [ A       0     -b      ] [dy  ] = [f2]
         [ -c^T    b^T  mu/tau^2 ] [dtau]   [f3].
 
-    This class factors it afresh by one dense LU with partial pivoting
-    after max-norm equilibration. It serves every A that is not m >= 2
-    identity blocks (``ConicProblem.identity_blocks``; those go to
-    :class:`_NullSpaceKKT`): polymin's 1^T, contradictory rows, general
-    problem files. The tau row and column border the system, so it stays
-    nonsingular when A has contradictory rows (rows of A dependent, rows
-    of [A b] not), the one rank-deficient input ConicProblem admits. dx is
-    not eliminated through (mu H)^{-1}: H is badly conditioned near
-    convergence, and directions computed that way lose the 1e-9 accuracy
-    that the residual-shrink identity r(z + alpha d) = (1 - alpha) r(z)
-    relies on. A singular factor shows up as non-finite solution values
-    and raises SolverError. ``solve`` refines either factorization's
-    directions against the full system.
+    The system is indefinite, so this class factors it afresh by one dense
+    LU with partial pivoting after max-norm equilibration, the solver's one
+    LU. It serves every A that is not m >= 2 identity blocks
+    (``ConicProblem.identity_blocks``; those go to :class:`_NullSpaceKKT`,
+    whose matrix is positive definite and Cholesky-factored): polymin's
+    1^T, contradictory rows, general problem files. The tau row and column
+    border the system, so it stays nonsingular when A has contradictory
+    rows (rows of A dependent, rows of [A b] not), the one rank-deficient
+    input ConicProblem admits. dx is not eliminated through (mu H)^{-1}: H
+    is badly conditioned near convergence, and directions computed that
+    way lose the 1e-9 accuracy that the residual-shrink identity
+    r(z + alpha d) = (1 - alpha) r(z) relies on. A singular LU factor
+    shows up as non-finite solution values and raises SolverError.
+    ``solve`` refines either factorization's directions against the full
+    system.
     """
 
     def __init__(self, problem, z: Iterate):
@@ -370,9 +385,9 @@ class _ReducedKKT:
         return Direction(dx, dtau, dy, ds, dkappa, res / rhs_scale)
 
     def _equation_residuals(self, dx, dy, dtau, ds, dkappa, r1, r2, r3, r5):
-        A, b, c = self.problem.A, self.problem.b, self.problem.c
-        e1 = A @ dx - b * dtau - r1
-        e2 = -A.T @ dy + c * dtau - ds - r2
+        problem, b, c = self.problem, self.problem.b, self.problem.c
+        e1 = problem.matvec(dx) - b * dtau - r1
+        e2 = -problem.rmatvec(dy) + c * dtau - ds - r2
         e3 = float(b @ dy) - float(c @ dx) - dkappa - r3
         e5 = dkappa + self.tau_diag * dtau - r5
         return e1, e2, e3, e5
@@ -391,12 +406,13 @@ class _NullSpaceKKT(_ReducedKKT):
         g_j = f1_j - f1_1 + mu H_1 f2,   h_j = mu H_1 b + c_1 - c_j,
 
     the reduced Hessian Z^T (mu H) Z on a null-space basis Z of A (just
-    mu (H_1 + H_2) for m = 2). R is equilibrated by its diagonal and
-    LU-factored; R^{-1} h is solved once per factorization, so every
-    (dx, dy) is affine in dtau, and the tau row fixes dtau as a scalar.
-    No Hessian is inverted: (mu H)^{-1} is badly conditioned near
-    convergence, while R is a sum of Hessians. The order falls from
-    N + k + 1 = (m+1)U + 1 to (m-1)U.
+    mu (H_1 + H_2) for m = 2), so R is symmetric positive definite. R is
+    equilibrated by its diagonal and Cholesky-factored (half the flops of
+    an LU); a failed pivot raises SolverError. R^{-1} h is solved once per
+    factorization, so every (dx, dy) is affine in dtau, and the tau row
+    fixes dtau as a scalar. No Hessian is inverted: (mu H)^{-1} is badly
+    conditioned near convergence, while R is a sum of Hessians. The order
+    falls from N + k + 1 = (m+1)U + 1 to (m-1)U.
     """
 
     def _factor(self):
@@ -407,17 +423,24 @@ class _NullSpaceKKT(_ReducedKKT):
         self._m, self._U = m, U
         self._H1 = hessians[0]
         R = np.empty((n, n), order="F")  # factored in place
+        # each H is exactly symmetric, so its transpose is the same values
+        # in the column order of R: a contiguous copy
         for i in range(m - 1):
             rows = slice(i * U, (i + 1) * U)
             for j in range(m - 1):
-                R[rows, j * U:(j + 1) * U] = self._H1
-            R[rows, rows] += hessians[i + 1]
+                R[rows, j * U:(j + 1) * U] = self._H1.T
+            R[rows, rows] += hessians[i + 1].T
         R *= self.mu
         # symmetric diagonal equilibration: R is PSD, so |R_ij| <= 1 after it
         self._d = 1.0 / np.sqrt(np.maximum(np.diag(R), 1e-300))
         R *= self._d[:, None]
         R *= self._d[None, :]
-        self._lu = scipy.linalg.lu_factor(R, overwrite_a=True, check_finite=False)
+        self._chol, info = scipy.linalg.lapack.dpotrf(R, lower=1, overwrite_a=1)
+        if info != 0:
+            raise SolverError(
+                f"Cholesky of the null-space Newton matrix failed at pivot {info}: "
+                "R is not positive definite"
+            )
         self._c = c.reshape(m, U)
         self._w = self.mu * (self._H1 @ b)
         self._q = self._solve_r((self._w + self._c[0]) - self._c[1:])
@@ -428,7 +451,7 @@ class _NullSpaceKKT(_ReducedKKT):
 
     def _solve_r(self, rhs):
         """R^{-1} rhs for rhs of shape (m-1, U)."""
-        sol = scipy.linalg.lu_solve(self._lu, self._d * rhs.ravel(), check_finite=False)
+        sol, _ = scipy.linalg.lapack.dpotrs(self._chol, self._d * rhs.ravel(), lower=1)
         return (self._d * sol).reshape(self._m - 1, self._U)
 
     def solve_reduced(self, f1, f2, f3):
@@ -556,25 +579,26 @@ def corrector_phase(problem, z: Iterate):
 
 def _residuals(problem, z: Iterate):
     """Relative primal and dual infeasibility and relative gap at z."""
-    A, b, c = problem.A, problem.b, problem.c
+    b, c = problem.b, problem.c
     by = float(b @ z.y)
-    rel_p = np.linalg.norm(A @ z.x - b * z.tau) / (z.tau * (1.0 + np.linalg.norm(b)))
-    rel_d = np.linalg.norm(A.T @ z.y + z.s - c * z.tau) / (z.tau * (1.0 + np.linalg.norm(c)))
+    rel_p = (np.linalg.norm(problem.matvec(z.x) - b * z.tau)
+             / (z.tau * (1.0 + np.linalg.norm(b))))
+    rel_d = (np.linalg.norm(problem.rmatvec(z.y) + z.s - c * z.tau)
+             / (z.tau * (1.0 + np.linalg.norm(c))))
     rel_gap = (float(c @ z.x) - by) / (z.tau + abs(by))
     return rel_p, rel_d, rel_gap
 
 
 def classify(problem, z: Iterate, params: SolverParams):
     """Status decision for the current iterate, or None to keep iterating."""
-    A, b, c = problem.A, problem.b, problem.c
     rel_p, rel_d, rel_gap = _residuals(problem, z)
     if rel_p <= params.tol_infeas and rel_d <= params.tol_infeas and rel_gap <= params.tol_gap:
         return OPTIMAL
-    by = float(b @ z.y)
-    if by > 0 and np.linalg.norm(A.T @ z.y + z.s) <= params.tol_infeas * by:
+    by = float(problem.b @ z.y)
+    if by > 0 and np.linalg.norm(problem.rmatvec(z.y) + z.s) <= params.tol_infeas * by:
         return PRIMAL_INFEASIBLE
-    cx = float(c @ z.x)
-    if -cx > 0 and np.linalg.norm(A @ z.x) <= params.tol_infeas * (-cx):
+    cx = float(problem.c @ z.x)
+    if -cx > 0 and np.linalg.norm(problem.matvec(z.x)) <= params.tol_infeas * (-cx):
         return DUAL_INFEASIBLE
     if z.mu < 1e-12 and z.tau < 1e-12:
         return ILL_POSED

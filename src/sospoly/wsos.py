@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dtrsm
 
 from . import _threads
 from .interpolation import PointSet, cheb_vandermonde, orthonormalize
@@ -105,6 +106,9 @@ class InterpWSOSCone:
         Computes the value and each block's V = L^{-1} Ptilde^T from the
         Cholesky factor L of Lambda(x); the gradient -sum diag(V^T V) and
         the Hessian sum (V^T V)∘(V^T V) are formed from them when first read.
+        V is the transpose of the right-side triangular solve
+        V^T = Ptilde L^{-T} (BLAS dtrsm on the U x L block as stored): the
+        same substitution as solving L V = Ptilde^T, at about half the time.
         """
         x = np.asarray(x, dtype=float)
         lam_chols = self.in_interior(x)
@@ -114,8 +118,7 @@ class InterpWSOSCone:
         halves = []
         for B, L in zip(self.blocks, lam_chols):
             value -= 2.0 * np.sum(np.log(np.diag(L)))
-            halves.append(scipy.linalg.solve_triangular(L, B.T, lower=True,
-                                                        check_finite=False))
+            halves.append(dtrsm(1.0, L, B, side=1, lower=1, trans_a=1).T)
         return BarrierEval(self, x, value, lam_chols, halves)
 
 

@@ -124,6 +124,27 @@ def sequential_factors(monkeypatch):
 
 
 @pytest.fixture
+def shifted_factor_iterate(monkeypatch):
+    """Factory: the iterate at z's point with cone factor i's Hessian
+    Cholesky taken shifted by HESS_SHIFT, its plain Cholesky forced to fail
+    as it does where a Hessian is singular to working precision."""
+    def make(problem, z, i):
+        barrier = problem.cone.barrier(z.x)
+        H = barrier.factor_evals[i].hessian
+        cholesky = np.linalg.cholesky
+
+        def fail_on_hessian(a):
+            if a is H:
+                raise np.linalg.LinAlgError("forced")
+            return cholesky(a)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "cholesky", fail_on_hessian)
+            return sp.hsd.make_iterate(problem, z.x, z.tau, z.y, z.s, z.kappa, barrier)
+    return make
+
+
+@pytest.fixture
 def dual_infeasible_problem():
     """A problem whose dual is infeasible: Ax = 0 holds on a ray of the cone
     along which c'x = -1'x falls without bound."""

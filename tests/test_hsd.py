@@ -294,17 +294,48 @@ def test_only_identity_blocks_take_the_null_space_path(monkeypatch,
         assert _kkt_classes(monkeypatch, problem, initial_point(problem)) == [hsd._ReducedKKT]
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_singular_null_space_system_is_a_numerical_failure(monkeypatch):
     # zero Hessians make R = 0; the barrier norms still work through an
-    # identity Cholesky factor, so the first Newton direction meets R
+    # identity Cholesky factor, so the first Newton direction meets R, whose
+    # Cholesky fails at its first pivot
     monkeypatch.setattr(wsos.BarrierEval, "hessian",
                         property(lambda ev: np.zeros((ev.cone.U, ev.cone.U))))
     monkeypatch.setattr(wsos.BarrierEval, "hess_chol",
                         property(lambda ev: np.eye(ev.cone.U)))
     r = sp.solve(small_problem())
     assert r.status == hsd.NUMERICAL_FAILURE
-    assert "non-finite" in r.message
+    assert "Cholesky of the null-space Newton matrix failed at pivot 1" in r.message
+    assert "R is not positive definite" in r.message
+
+
+def test_null_space_directions_at_three_blocks(envelope_small_k3):
+    # m = 3: R has off-diagonal blocks mu H_1, and its Cholesky directions
+    # meet the residual bound at the start and at the final iterate
+    problem = envelope_small_k3.built.problem
+    assert problem.identity_blocks and len(problem.cone.factors) == 3
+    for z in (initial_point(problem), envelope_small_k3.result.final):
+        for mode in ("predictor", "corrector"):
+            assert newton_direction(problem, z, mode).residual <= 1e-9
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_identity_blocks_apply_A_by_structure(k):
+    # A x sums x's blocks and A^T y repeats y: the dense products' values,
+    # bit for bit with two blocks (one addition per entry either way), to
+    # rounding with three (the additions may run in another order)
+    problem = sp.build_envelope(1, 6, k, seed=3).problem
+    assert problem.identity_blocks
+    rng = np.random.default_rng(k)
+    U, N = problem.A.shape
+    for _ in range(5):
+        x, y = rng.standard_normal(N), rng.standard_normal(U)
+        assert np.array_equal(problem.rmatvec(y), problem.A.T @ y)
+        dense = problem.A @ x
+        if k == 2:
+            assert np.array_equal(problem.matvec(x), dense)
+        else:
+            bound = 4 * np.finfo(float).eps * np.abs(x).reshape(k, U).sum(axis=0)
+            assert np.all(np.abs(problem.matvec(x) - dense) <= bound)
 
 
 def test_unknown_rhs_mode():
@@ -384,16 +415,19 @@ def _predict(problem, z, monkeypatch, screen):
 
 @pytest.mark.parametrize("late", [False, True])
 def test_predictor_screen_changes_no_step(envelope_small, envelope_small_k3,
-                                          monkeypatch, late):
+                                          shifted_factor_iterate, monkeypatch, late):
     # the same step and bit-identical iterate with the screen as with a
     # screen that never rejects, at the start and at the last iterate, whose
     # Hessian Cholesky needed jitter, for k = 2 and k = 3 cone factors; a
     # trial rejected at an early factor never evaluates the later factors'
-    # barriers
+    # barriers. At the last iterates factor 0 factors plainly (k = 2 shifts
+    # factor 1), so factor 0 is given the shifted Cholesky factor.
     for k, inst in ((2, envelope_small), (3, envelope_small_k3)):
         problem = inst.built.problem
         assert len(problem.cone.factors) == k
         z = inst.result.final if late else initial_point(problem)
+        if late:
+            z = shifted_factor_iterate(problem, z, 0)
         assert z.barrier.jittered == late
         screened, verdicts, evaluated = _predict(problem, z, monkeypatch, screen=True)
         plain, _, evaluated_plain = _predict(problem, z, monkeypatch, screen=False)

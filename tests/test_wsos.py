@@ -244,6 +244,22 @@ def test_hess_inv_apply_is_the_lower_factor_solve(envelope_small_k3, envelope_1d
             assert np.array_equal(ev.hess_inv_apply(v), lower)
 
 
+@pytest.mark.parametrize("U", [201, 455])
+def test_right_side_solve_matches_solve_triangular(U):
+    # V = L^{-1} Ptilde^T comes from the right-side solve on the stored
+    # U x L block; it agrees with the left-side solve on Ptilde^T to rounding
+    rng = np.random.default_rng(U)
+    cone = InterpWSOSCone([rng.standard_normal((U, L)) for L in (1, 7, 56, 100)])
+    for _ in range(3):
+        x = np.ones(U) + 0.3 * rng.uniform(-1, 1, U)
+        lam_chols = cone.in_interior(x)
+        halves = cone.barrier(x)._halves
+        for B, L, V in zip(cone.blocks, lam_chols, halves):
+            want = scipy.linalg.solve_triangular(L, B.T, lower=True)
+            assert V.shape == want.shape
+            assert np.linalg.norm(V - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_hess_chol_records_jitter(monkeypatch, sequential_factors):
     cone = unweighted_cone(1, 6)
     x = np.ones(cone.U) + 0.3 * np.random.default_rng(11).uniform(-1, 1, cone.U)
@@ -288,15 +304,22 @@ def test_hess_chol_records_jitter(monkeypatch, sequential_factors):
     assert try_make_iterate(problem, z.x, z.tau, z.y, z.s, z.kappa) is None
 
 
-def test_screen_bound_tight_at_jittered_iterates(envelope_small, envelope_small_k3):
+def test_screen_bound_tight_at_jittered_iterates(envelope_small, envelope_small_k3,
+                                                 shifted_factor_iterate):
     # the screen's shift term is the one shift hess_chol can add, so at a
     # final iterate, each factor whose Hessian Cholesky needed that shift
     # has a bound, with its own evaluation as reference, that meets the
     # exact norm (a factor factored without it stays below by the shift
     # term); without the shift term the bound would pass the norm by more
-    # than the screen's 1e-6 rounding margin
+    # than the screen's 1e-6 rounding margin. The k = 3 solve's final
+    # iterate factors plainly, so factor 1 there is given the shifted
+    # factor. (Forced onto factor 0, whose smallest Cholesky pivot is 3e-16
+    # of its mean diagonal, the bound passes the norm by 1.9e-6: the
+    # blockwise w^T H w falls 1.7e-6 below the formed Hessian's.)
     for inst in (envelope_small, envelope_small_k3):
         problem, z = inst.built.problem, inst.result.final
+        if inst is envelope_small_k3:
+            z = shifted_factor_iterate(problem, z, 1)
         shifted = [(factor, ref, sl) for factor, ref, sl in zip(
             problem.cone.factors, z.barrier.factor_evals, problem.cone.slices())
             if ref.hess_jitter == HESS_SHIFT]
