@@ -125,6 +125,15 @@ class InterpWSOSCone:
 # relative diagonal shift (times the mean diagonal of H) that hess_chol
 # retries with when the plain Cholesky of the Hessian fails
 HESS_SHIFT = 1e-14
+# the screen bound's allowance, per unit of diag H, for the rounding of the
+# formed Hessian: its entries err by about eps * sqrt(H_jj H_kk) with signs
+# that largely cancel, so along w its w^T H w departs from the blockwise one
+# by about eps * sum_j H_jj w_j^2; the bound allows twice that
+HESS_ROUNDING = 2.0 * np.finfo(float).eps
+# share of the screen bound's denominator past which the shift term marks
+# its w as leaning on eigenvalues below the shift, and a second vector
+# refines it (BarrierEval.inv_quadform_lower_bound)
+REFINE_SHIFT_SHARE = 0.01
 
 
 @dataclass
@@ -214,31 +223,54 @@ class BarrierEval:
 
         Holds for the two factors ``hess_chol`` can make, eps = 0 and the
         shift eps = HESS_SHIFT * mean(diag H) used below, and for no larger
-        eps. With
-        w = reference.hess_inv_apply(psi), any w gives
+        eps. With D = eps I + HESS_ROUNDING * diag(H), any w gives
 
-            psi^T (H + eps I)^{-1} psi >= (w^T psi)^2 / w^T (H + eps I) w,
+            psi^T (H + eps I)^{-1} psi >= (w^T psi)^2 / w^T (H + D) w,
 
-        tight when the reference factor is close to H + eps I, and
-        w^T H w = sum_i ||V_i diag(w) V_i^T||_F^2 costs O(sum_i L_i^2 U)
-        against O(sum_i L_i U^2) for H. g and diag H are taken as the
-        column sums -sum_i colsum(V_i∘V_i) and sum_i colsum(V_i∘V_i)^2,
-        equal to the formed ones up to rounding, so a caller comparing the
-        bound with a threshold needs a small relative margin. Must be
-        called before the gradient or Hessian is read.
+        and w^T H w = sum_i ||V_i diag(w) V_i^T||_F^2 costs O(sum_i L_i^2 U)
+        against O(sum_i L_i U^2) for H. The HESS_ROUNDING term covers the
+        rounding in which the formed Hessian, whose factor gives the exact
+        norm, differs from that blockwise form along w. The bound is taken
+        for w = reference.hess_inv_apply(psi), tight when the reference
+        factor is close to H + eps I. When the reference factored H plainly
+        but H has eigenvalues below the shift, that w leans on their
+        directions and the shift term takes over the denominator; past
+        REFINE_SHIFT_SHARE of it, the bound is the best one over
+        w in span{w, reference.hess_inv_apply(w)}. g and diag H are taken
+        as the column sums -sum_i colsum(V_i∘V_i) and
+        sum_i colsum(V_i∘V_i)^2, equal to the formed ones up to rounding,
+        so a caller comparing the bound with a threshold needs a small
+        relative margin. Must be called before the gradient or Hessian is
+        read.
         """
         diag_q = [np.einsum("ij,ij->j", V, V) for V in self._halves]
+        diag_h = sum(d * d for d in diag_q)
         psi = s - mu * sum(diag_q)
         w = reference.hess_inv_apply(psi)
         w_psi = float(w @ psi)
         if w_psi == 0.0:
             return 0.0
-        w_hess_w = 0.0
-        for V in self._halves:
-            M = (V * w) @ V.T
-            w_hess_w += float(np.sum(M * M))
-        shift = HESS_SHIFT * float(np.mean(sum(d * d for d in diag_q)))
-        return w_psi * w_psi / (w_hess_w + shift * float(w @ w))
+        shift = HESS_SHIFT * float(np.mean(diag_h))
+        D = shift + HESS_ROUNDING * diag_h
+        Mw = [(V * w) @ V.T for V in self._halves]
+        w_w = sum(float(np.sum(M * M)) for M in Mw) + float(D @ (w * w))
+        bound = w_psi * w_psi / w_w
+        if shift * float(w @ w) <= REFINE_SHIFT_SHARE * w_w:
+            return bound
+        u = reference.hess_inv_apply(w)
+        u *= np.linalg.norm(w) / np.linalg.norm(u)
+        Mu = [(V * u) @ V.T for V in self._halves]
+        w_u = sum(float(np.sum(A * B)) for A, B in zip(Mw, Mu)) + float(D @ (w * u))
+        u_u = sum(float(np.sum(M * M)) for M in Mu) + float(D @ (u * u))
+        # the 2 x 2 Rayleigh quotient by its Schur complement: add the part
+        # of u that the (H + D)-inner product finds orthogonal to w, unless
+        # u is too close to parallel for that part to be resolved
+        r = w_u / w_w
+        rest = u_u - r * w_u
+        if rest <= 1e-6 * u_u:
+            return bound
+        a = float(u @ psi) - r * w_psi
+        return bound + a * a / rest
 
 
 def build_cone(pts: PointSet, weights, degs) -> InterpWSOSCone:

@@ -420,13 +420,13 @@ def test_predictor_screen_changes_no_step(envelope_small, envelope_small_k3,
     # screen that never rejects, at the start and at the last iterate, whose
     # Hessian Cholesky needed jitter, for k = 2 and k = 3 cone factors; a
     # trial rejected at an early factor never evaluates the later factors'
-    # barriers. At the last iterates factor 0 factors plainly (k = 2 shifts
-    # factor 1), so factor 0 is given the shifted Cholesky factor.
+    # barriers. The k = 3 solve's last iterate factors every Hessian
+    # plainly, so its factor 0 is given the shifted Cholesky factor.
     for k, inst in ((2, envelope_small), (3, envelope_small_k3)):
         problem = inst.built.problem
         assert len(problem.cone.factors) == k
         z = inst.result.final if late else initial_point(problem)
-        if late:
+        if late and k == 3:
             z = shifted_factor_iterate(problem, z, 0)
         assert z.barrier.jittered == late
         screened, verdicts, evaluated = _predict(problem, z, monkeypatch, screen=True)

@@ -312,14 +312,11 @@ def test_screen_bound_tight_at_jittered_iterates(envelope_small, envelope_small_
     # exact norm (a factor factored without it stays below by the shift
     # term); without the shift term the bound would pass the norm by more
     # than the screen's 1e-6 rounding margin. The k = 3 solve's final
-    # iterate factors plainly, so factor 1 there is given the shifted
-    # factor. (Forced onto factor 0, whose smallest Cholesky pivot is 3e-16
-    # of its mean diagonal, the bound passes the norm by 1.9e-6: the
-    # blockwise w^T H w falls 1.7e-6 below the formed Hessian's.)
+    # iterate factors plainly, so its factor 0 is given the shifted factor.
     for inst in (envelope_small, envelope_small_k3):
         problem, z = inst.built.problem, inst.result.final
         if inst is envelope_small_k3:
-            z = shifted_factor_iterate(problem, z, 1)
+            z = shifted_factor_iterate(problem, z, 0)
         shifted = [(factor, ref, sl) for factor, ref, sl in zip(
             problem.cone.factors, z.barrier.factor_evals, problem.cone.slices())
             if ref.hess_jitter == HESS_SHIFT]
@@ -328,6 +325,33 @@ def test_screen_bound_tight_at_jittered_iterates(envelope_small, envelope_small_
             bound = factor.barrier(z.x[sl]).inv_quadform_lower_bound(z.s[sl], z.mu, ref)
             exact = ref.inv_quadform(z.s[sl] + z.mu * ref.gradient)
             assert (1.0 - 1e-5) * exact <= bound <= (1.0 + 1e-6) * exact
+
+
+def test_screen_bound_refined_at_plain_near_singular_factors(envelope_small,
+                                                             envelope_small_k3,
+                                                             monkeypatch):
+    # at the final iterates, factors whose Hessian factored plainly still
+    # have eigenvalues below the shift, so the shift term swamps the bound
+    # for w = H^{-1} psi alone; the bound over span{w, H^{-1} w} stays below
+    # the norm with the shift and recovers most of what that term took
+    gains = []
+    for inst in (envelope_small, envelope_small_k3):
+        problem, z = inst.built.problem, inst.result.final
+        for factor, ref, sl in zip(problem.cone.factors, z.barrier.factor_evals,
+                                   problem.cone.slices()):
+            if ref.hess_jitter != 0.0:
+                continue
+            bound = factor.barrier(z.x[sl]).inv_quadform_lower_bound(z.s[sl], z.mu, ref)
+            with monkeypatch.context() as m:
+                m.setattr(sp.wsos, "REFINE_SHIFT_SHARE", np.inf)
+                single = factor.barrier(z.x[sl]).inv_quadform_lower_bound(
+                    z.s[sl], z.mu, ref)
+            H, psi = ref.hessian, z.s[sl] + z.mu * ref.gradient
+            shift = HESS_SHIFT * np.mean(np.diag(H))
+            half = np.linalg.solve(np.linalg.cholesky(H + shift * np.eye(factor.U)), psi)
+            assert single <= bound <= (1.0 + 1e-9) * float(half @ half)
+            gains.append(bound / single)
+    assert len(gains) == 4 and max(gains) > 10.0
 
 
 def test_conditioning_bound():
