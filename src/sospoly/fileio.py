@@ -193,6 +193,7 @@ def solution_to_dict(result: SolveResult) -> dict:
         },
         "iterations": result.iterations,
         "jittered_iterates": result.jittered_iterates,
+        "trials": result.trials,
         "message": result.message,
     }
     if result.x is not None:
@@ -233,12 +234,12 @@ def solution_iterate(data: dict, dim: int) -> tuple[np.ndarray, np.ndarray, floa
 
 def write_trace_csv(path: str, trace):
     rows = ["iter,mu,alpha_p,nbhd_norm,corrector_steps,"
-            "residual_before,residual_after,stalled,corrected"]
+            "residual_before,residual_after,stalled,corrected,trials"]
     for rec in trace:
         rows.append(f"{rec.iteration},{rec.mu:.17g},{rec.alpha_p:.17g},"
                     f"{rec.nbhd_norm:.17g},{rec.corrector_steps},"
                     f"{rec.residual_before:.17g},{rec.residual_after:.17g},"
-                    f"{int(rec.stalled)},{int(rec.corrected)}")
+                    f"{int(rec.stalled)},{int(rec.corrected)},{rec.trials}")
     write_atomic(path, "\n".join(rows) + "\n")
 
 

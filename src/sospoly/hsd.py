@@ -11,6 +11,18 @@ alternates line-searched predictor steps with centering corrector steps,
 keeping every iterate inside a neighborhood of the central path measured in
 the barrier's local norm. Optimal solutions are read off as x/tau, (y, s)/tau
 when tau stays positive; infeasibility certificates appear when kappa wins.
+
+The predictor searches along an arc rather than a ray. Its direction d
+carries a third-order adjustment d_adj, solved with the same factorization
+(Dahl and Andersen, Math. Program. 2022; Coey, Kapelevich and Vielma, Math.
+Prog. Comp. 2023): d_adj has zero linear rows and complementarity rows
+mu (H dx - nabla^3 F(x)[dx, dx] / 2) and mu (dtau / tau^2 + dtau^2 / tau^3),
+the second-order term of the central path through z. Each trial sits at
+z + alpha d + alpha^2 d_adj, so the linear residual still shrinks to
+(1 - alpha) r(z), and the arc bends along the path where the ray leaves the
+neighborhood. The search ends at the first accepted trial that meets the
+stopping rule (``classify``), so the last step stops near the tolerance
+instead of overshooting it.
 """
 
 from __future__ import annotations
@@ -154,6 +166,9 @@ class Direction:
     ds: np.ndarray
     dkappa: float
     residual: float  # full-system residual, relative
+    # a predictor direction's third-order adjustment: its trials sit at
+    # z + alpha d + alpha^2 adjustment (None for a corrector direction)
+    adjustment: Direction | None = None
 
     def norm(self) -> float:
         return math.sqrt(
@@ -173,6 +188,7 @@ class TraceRecord:
     residual_after: float
     stalled: bool = False   # predictor found no step, or corrector ended outside N(ETA)
     corrected: bool = True  # False when the run ended right after this predictor
+    trials: int = 0         # predictor trials evaluated in this iteration
 
 
 @dataclass
@@ -191,6 +207,7 @@ class SolveResult:
     trace: list = field(default_factory=list)
     message: str = ""
     jittered_iterates: int = 0  # accepted iterates whose Hessian Cholesky needed jitter
+    trials: int = 0             # predictor trials over all iterations
 
 
 OPTIMAL = "Optimal"
@@ -445,9 +462,14 @@ class _NullSpaceKKT(_ReducedKKT):
         self._w = self.mu * (self._H1 @ b)
         self._q = self._solve_r((self._w + self._c[0]) - self._c[1:])
         self._u1 = b - self._q.sum(axis=0)
-        self._beta = (float((self._w - self._c[0]) @ self._u1)
-                      - float(np.sum(self._c[1:] * self._q))
-                      + float(b @ self._c[0]) + self.tau_diag)
+        # the tau row's coefficient of dtau, -c^T x_tau + b^T y_tau + mu/tau^2
+        # for dx's and dy's coefficients x_tau = (u1, q), y_tau; since
+        # mu H x_tau - A^T y_tau = -c and A x_tau = b, it equals
+        # mu/tau^2 + mu x_tau^T H x_tau, a sum of positive terms, which
+        # stays accurate where the first form cancels (the ray (x, y, tau)
+        # singular to working precision near convergence)
+        self._beta = self.tau_diag + self.mu * sum(
+            float(v @ (H @ v)) for v, H in zip((self._u1, *self._q), hessians))
 
     def _solve_r(self, rhs):
         """R^{-1} rhs for rhs of shape (m-1, U)."""
@@ -470,7 +492,11 @@ class _NullSpaceKKT(_ReducedKKT):
 
 
 def newton_direction(problem, z: Iterate, rhs_mode: str) -> Direction:
-    """Predictor or corrector direction at z (one shared factorization)."""
+    """Predictor or corrector direction at z (one shared factorization).
+
+    A predictor direction comes with its third-order adjustment
+    (``Direction.adjustment``), a second solve with the same factorization.
+    """
     if rhs_mode == "predictor":
         r_p, r_d, r_g = embedding_residual(problem, z)
         rhs = (-r_p, -r_d, -r_g, -z.s, -z.kappa)
@@ -479,17 +505,46 @@ def newton_direction(problem, z: Iterate, rhs_mode: str) -> Direction:
         rhs = (np.zeros(k), np.zeros(N), 0.0, -z.psi_x, -(z.kappa - z.mu / z.tau))
     else:
         raise ValueError(f"unknown rhs_mode {rhs_mode!r}")
-    kkt = _NullSpaceKKT if problem.identity_blocks else _ReducedKKT
-    return kkt(problem, z).solve(*rhs)
+    kkt = (_NullSpaceKKT if problem.identity_blocks else _ReducedKKT)(problem, z)
+    d = kkt.solve(*rhs)
+    if rhs_mode == "predictor":
+        d.adjustment = kkt.solve(*_adjustment_rhs(problem, z, d))
+    return d
+
+
+def _adjustment_rhs(problem, z: Iterate, d: Direction):
+    """Right-hand side of the third-order adjustment of predictor direction d.
+
+    Along z(alpha) = z + alpha d + alpha^2 d_adj, the path condition
+    s + (1 - alpha) mu g(x) = 0 holds to first order by d; its alpha^2 term
+    gives ds_adj + mu H dx_adj = mu H dx - (mu/2) nabla^3 F(x)[dx, dx], and
+    the tau barrier -ln tau, whose third derivative is -2/tau^3, gives
+    dkappa_adj + (mu/tau^2) dtau_adj = mu dtau/tau^2 + mu dtau^2/tau^3.
+    The linear rows are zero, so the embedding residual along the arc is
+    (1 - alpha) r(z), as on the ray.
+    """
+    k, N = problem.A.shape
+    mu, tau = z.mu, z.tau
+    r4 = mu * (z.barrier.hess_apply(d.dx) - 0.5 * z.barrier.third_order(d.dx))
+    r5 = mu * d.dtau / tau**2 + mu * d.dtau**2 / tau**3
+    return np.zeros(k), np.zeros(N), 0.0, r4, r5
 
 
 def _stepped(z: Iterate, d: Direction, alpha: float):
-    return (z.x + alpha * d.dx, z.tau + alpha * d.dtau, z.y + alpha * d.dy,
-            z.s + alpha * d.ds, z.kappa + alpha * d.dkappa)
+    """z + alpha d, and for a predictor direction + alpha^2 d.adjustment."""
+    point = (z.x + alpha * d.dx, z.tau + alpha * d.dtau, z.y + alpha * d.dy,
+             z.s + alpha * d.ds, z.kappa + alpha * d.dkappa)
+    adj = d.adjustment
+    if adj is None:
+        return point
+    a2 = alpha * alpha
+    x, tau, y, s, kappa = point
+    return (x + a2 * adj.dx, tau + a2 * adj.dtau, y + a2 * adj.dy,
+            s + a2 * adj.ds, kappa + a2 * adj.dkappa)
 
 
 def _step(problem, z: Iterate, d: Direction, alpha: float):
-    """Predictor trial z + alpha d, screened against N(BETA) before its Hessian."""
+    """Predictor trial on d's arc, screened against N(BETA) before its Hessian."""
     return try_make_iterate(problem, *_stepped(z, d, alpha), screen=z)
 
 
@@ -498,32 +553,43 @@ class PredictorOutcome:
     iterate: Iterate
     alpha: float
     stalled: bool
+    trials: int = 0  # trial points evaluated by the search
 
 
-def predictor_step(problem, z: Iterate, alpha_init=None) -> PredictorOutcome:
-    """Expanding line search for the largest step staying inside N(BETA).
+def predictor_step(problem, z: Iterate, alpha_init=None,
+                   params: SolverParams | None = None) -> PredictorOutcome:
+    """Expanding search for the largest step on the predictor arc inside N(BETA).
 
-    Starts at ``alpha_init`` (ALPHA_START by default; the solve loop passes
-    the previously accepted step to save barrier evaluations), multiplies by
-    EXPANSION while the trial stays interior and inside the
+    Trials sit at z + alpha d + alpha^2 d_adj (``newton_direction``). The
+    search starts at ``alpha_init`` (ALPHA_START by default; the solve loop
+    passes the previously accepted step to save barrier evaluations),
+    multiplies by EXPANSION while the trial stays interior and inside the
     beta-neighborhood (cap ALPHA_CAP), halves when even the start fails,
     then sharpens the bracket with REFINE_BISECTIONS bisections. Once a
     halving is accepted, the step rejected just before it closes the
     bracket, so no step is tried twice. Each trial is screened against
     N(BETA) before its barrier Hessian is formed (``try_make_iterate``),
-    which saves work and changes no step. A degenerate direction or no
-    acceptable step above ALPHA_MIN is reported as a stall; z is returned
-    unchanged.
+    which saves work and changes no step. With ``params``, the search ends
+    at the first accepted trial that ``classify`` gives a status: a longer
+    step would only push mu past the tolerance, toward Hessians singular to
+    working precision. A degenerate direction or no acceptable step above
+    ALPHA_MIN is reported as a stall; z is returned unchanged.
     """
     direction = newton_direction(problem, z, "predictor")
     if direction.norm() == 0.0:
         return PredictorOutcome(z, 0.0, True)
+    trials = 0
 
     def accept(a):
+        nonlocal trials
+        trials += 1
         trial = _step(problem, z, direction, a)
         if trial is not None and trial.in_neighborhood(BETA):
             return trial
         return None
+
+    def stops(trial):
+        return params is not None and classify(problem, trial, params) is not None
 
     alpha = min(alpha_init or ALPHA_START, ALPHA_CAP)
     hi = None
@@ -532,26 +598,27 @@ def predictor_step(problem, z: Iterate, alpha_init=None) -> PredictorOutcome:
         hi = alpha
         alpha /= EXPANSION
         if alpha < ALPHA_MIN:
-            return PredictorOutcome(z, 0.0, True)
+            return PredictorOutcome(z, 0.0, True, trials)
         trial = accept(alpha)
 
+    # expand until a rejection brackets the step (or the cap is accepted),
+    # then bisect the bracket
     lo, best = alpha, trial
-    while hi is None and lo < ALPHA_CAP:
-        nxt = min(lo * EXPANSION, ALPHA_CAP)
+    bisections = 0
+    while not stops(best):
+        if hi is None and lo < ALPHA_CAP:
+            nxt = min(lo * EXPANSION, ALPHA_CAP)
+        elif hi is not None and bisections < REFINE_BISECTIONS:
+            nxt = 0.5 * (lo + hi)
+            bisections += 1
+        else:
+            break
         cand = accept(nxt)
         if cand is None:
             hi = nxt
         else:
             lo, best = nxt, cand
-    if hi is not None:
-        for _ in range(REFINE_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            cand = accept(mid)
-            if cand is None:
-                hi = mid
-            else:
-                lo, best = mid, cand
-    return PredictorOutcome(best, lo, False)
+    return PredictorOutcome(best, lo, False, trials)
 
 
 def corrector_phase(problem, z: Iterate):
@@ -606,6 +673,7 @@ def classify(problem, z: Iterate, params: SolverParams):
 
 
 def _result_from(problem, z: Iterate, status, iterations, trace, jittered, message=""):
+    """The SolveResult at z; the trial total is summed over the trace."""
     rel_p, rel_d, rel_gap = _residuals(problem, z)
     scale = z.tau if (status == OPTIMAL and z.tau > 0) else 1.0
     if jittered:
@@ -626,6 +694,7 @@ def _result_from(problem, z: Iterate, status, iterations, trace, jittered, messa
         trace=trace,
         message=message,
         jittered_iterates=jittered,
+        trials=sum(rec.trials for rec in trace),
     )
 
 
@@ -647,10 +716,11 @@ def solve(problem: ConicProblem, params: SolverParams | None = None) -> SolveRes
             return _result_from(problem, z, status, it_count, trace, jittered)
         try:
             res_before = embedding_residual_norm(problem, z)
-            outcome = predictor_step(problem, z, alpha_init=last_alpha)
+            outcome = predictor_step(problem, z, alpha_init=last_alpha, params=params)
             if outcome.stalled:
                 trace.append(TraceRecord(it_count, z.mu, 0.0, z.nbhd_norm, 0,
-                                         res_before, res_before, stalled=True))
+                                         res_before, res_before, stalled=True,
+                                         trials=outcome.trials))
                 return _result_from(
                     problem, z, NUMERICAL_FAILURE, it_count + 1, trace, jittered,
                     message=f"predictor stalled: no acceptable step above {ALPHA_MIN:g}",
@@ -662,7 +732,8 @@ def solve(problem: ConicProblem, params: SolverParams | None = None) -> SolveRes
             status = classify(problem, z, params)
             if status is not None:
                 trace.append(TraceRecord(it_count, z.mu, outcome.alpha, z.nbhd_norm,
-                                         0, res_before, res_after, corrected=False))
+                                         0, res_before, res_after, corrected=False,
+                                         trials=outcome.trials))
                 return _result_from(problem, z, status, it_count + 1, trace, jittered)
             # a miss continues from the last corrector iterate
             z, c_steps, c_jittered = corrector_phase(problem, z)
@@ -670,7 +741,8 @@ def solve(problem: ConicProblem, params: SolverParams | None = None) -> SolveRes
             missed = not z.in_neighborhood(ETA)
             misses = misses + 1 if missed else 0
             trace.append(TraceRecord(it_count, z.mu, outcome.alpha, z.nbhd_norm,
-                                     c_steps, res_before, res_after, stalled=missed))
+                                     c_steps, res_before, res_after, stalled=missed,
+                                     trials=outcome.trials))
             if misses >= MAX_STALLS:
                 return _result_from(
                     problem, z, NUMERICAL_FAILURE, it_count + 1, trace, jittered,

@@ -140,10 +140,10 @@ REFINE_SHIFT_SHARE = 0.01
 class BarrierEval:
     """Barrier data at one interior point, with cached factorizations.
 
-    Until the gradient or the Hessian is first read, each block's
-    V = L^{-1} Ptilde^T is kept in ``_halves``; forming them drops the V
-    blocks. Before that, ``inv_quadform_lower_bound`` bounds the local norm
-    from the V blocks alone.
+    Each block's V = L^{-1} Ptilde^T is kept in ``_halves`` for the life of
+    the evaluation: the gradient and Hessian are formed from them on first
+    read, ``inv_quadform_lower_bound`` bounds the local norm from them
+    alone, and ``third_order`` applies the third derivative with them.
     """
 
     cone: "InterpWSOSCone"
@@ -167,7 +167,7 @@ class BarrierEval:
             grad -= np.diag(Q)
             np.multiply(Q, Q, out=Q)
             hess += Q
-        self._gradient, self._hessian, self._halves = grad, hess, None
+        self._gradient, self._hessian = grad, hess
 
     @property
     def gradient(self) -> np.ndarray:
@@ -202,6 +202,21 @@ class BarrierEval:
 
     def hess_apply(self, v: np.ndarray) -> np.ndarray:
         return self.hessian @ v
+
+    def third_order(self, d: np.ndarray) -> np.ndarray:
+        """The third derivative along d twice, nabla^3 F(x)[d, d].
+
+        With Q = V^T V = Ptilde Lambda(x)^{-1} Ptilde^T, the Hessian times d
+        is (Q∘Q) d, and differentiating along d, where Q moves by
+        -V^T W V with W = V diag(d) V^T = L^{-1} Lambda(d) L^{-T}, gives
+        -2 diag(V^T W^2 V) per block: the column sums of (W V)∘(W V),
+        O(L^2 U) per block from the kept V blocks, with no U x U product.
+        """
+        out = np.zeros(self.cone.U)
+        for V in self._halves:
+            WV = ((V * d) @ V.T) @ V
+            out -= 2.0 * np.einsum("ij,ij->j", WV, WV)
+        return out
 
     def hess_inv_apply(self, v: np.ndarray) -> np.ndarray:
         """H(x)^{-1} v via two triangular solves against the cached factor.
@@ -240,8 +255,7 @@ class BarrierEval:
         as the column sums -sum_i colsum(V_i∘V_i) and
         sum_i colsum(V_i∘V_i)^2, equal to the formed ones up to rounding,
         so a caller comparing the bound with a threshold needs a small
-        relative margin. Must be called before the gradient or Hessian is
-        read.
+        relative margin.
         """
         diag_q = [np.einsum("ij,ij->j", V, V) for V in self._halves]
         diag_h = sum(d * d for d in diag_q)
@@ -352,6 +366,12 @@ class ProductBarrierEval:
     def hess_apply(self, v: np.ndarray) -> np.ndarray:
         return np.concatenate(
             [e.hess_apply(v[sl]) for e, sl in zip(self.factor_evals, self.cone.slices())]
+        )
+
+    def third_order(self, d: np.ndarray) -> np.ndarray:
+        """nabla^3 F(x)[d, d], factor by factor (BarrierEval.third_order)."""
+        return np.concatenate(
+            [e.third_order(d[sl]) for e, sl in zip(self.factor_evals, self.cone.slices())]
         )
 
     def centrality(self, s: np.ndarray, mu: float) -> tuple[np.ndarray, float]:

@@ -73,6 +73,37 @@ def envelope_small_k3():
 
 
 @pytest.fixture(scope="session")
+def ray_search_finals():
+    """{k: (problem, final iterate)} of build_envelope(1, 5, k, seed=1) at
+    tolerance 1e-8, k = 2 and 3, solved with the predictor searching the
+    ray z + alpha d (adjustment right-hand side zero) to the largest step,
+    without stopping at the first trial that meets the tolerance. Such a
+    final step overshoots the tolerance, so the final iterates have
+    Hessians singular to working precision: envelope_small's factor 1
+    needs the Hessian shift, and the other factors factor plainly with
+    eigenvalues below it."""
+    predictor_step = sp.hsd.predictor_step
+
+    def zero_rhs(problem, z, d):
+        k, N = problem.A.shape
+        return np.zeros(k), np.zeros(N), 0.0, np.zeros(N), 0.0
+
+    def full_search(problem, z, alpha_init=None, params=None):
+        return predictor_step(problem, z, alpha_init)
+
+    finals = {}
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sp.hsd, "_adjustment_rhs", zero_rhs)
+        m.setattr(sp.hsd, "predictor_step", full_search)
+        for k in (2, 3):
+            problem = sp.build_envelope(1, 5, k, seed=1).problem
+            result = sp.solve(problem, sp.SolverParams(tol_gap=1e-8, tol_infeas=1e-8))
+            assert result.status == sp.hsd.OPTIMAL
+            finals[k] = problem, result.final
+    return finals
+
+
+@pytest.fixture(scope="session")
 def butcher_solved():
     return _solve_polymin("butcher")
 

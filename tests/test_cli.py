@@ -143,8 +143,12 @@ def test_envelope_solves_and_writes(tmp_path, capsys):
     assert "iterate" in sol and "timestamp" in sol
     lines = trace.read_text().strip().splitlines()
     assert lines[0] == ("iter,mu,alpha_p,nbhd_norm,corrector_steps,"
-                        "residual_before,residual_after,stalled,corrected")
+                        "residual_before,residual_after,stalled,corrected,trials")
     assert len(lines) == sol["iterations"] + 1
+    # every iteration's predictor tried at least one step; the rows add up
+    # to the solution's total
+    trials = [int(line.rsplit(",", 1)[1]) for line in lines[1:]]
+    assert min(trials) >= 1 and sum(trials) == sol["trials"]
 
 
 def test_envelope_deterministic_output(tmp_path):

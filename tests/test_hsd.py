@@ -171,9 +171,9 @@ def test_direction_residual_contradictory_rows(contradictory_rows_solved):
 
 def test_every_direction_correction_is_evaluated(monkeypatch):
     # each reduced solve after the first is a correction whose residual is
-    # then evaluated; this solve has a direction that uses all five
+    # then evaluated; this solve has directions that use all five
     # evaluations, after which no further correction may be computed
-    problem = sp.build_envelope(1, 6, 2, seed=4).problem
+    problem = sp.build_envelope(1, 6, 2, seed=3).problem
     assert problem.identity_blocks  # the envelope takes the null-space path
     counts = []  # [reduced solves, residual evaluations] per direction
     solve = hsd._ReducedKKT.solve
@@ -228,19 +228,22 @@ def _iterate_after(problem, iterations):
 
 
 @pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("iterations", [0, 15])
+@pytest.mark.parametrize("iterations", [0, 9])
 def test_null_space_direction_matches_dense_lu(k, iterations):
     # m = 2 and m = 3 identity blocks, at the start and at mu near 1e-3
     problem = sp.build_envelope(1, 6, k, seed=2).problem
     assert problem.identity_blocks
     z = _iterate_after(problem, iterations) if iterations else initial_point(problem)
+    assert iterations == 0 or 1e-4 <= z.mu <= 1e-2
     for mode in ("predictor", "corrector"):
         _assert_same_direction(*_both_directions(problem, z, mode))
 
 
 def test_null_space_direction_matches_dense_lu_env1d100(envelope_1d_100):
     problem = envelope_1d_100.built.problem
-    for z in (initial_point(problem), _iterate_after(problem, 25)):
+    middle = _iterate_after(problem, 13)
+    assert 1e-4 <= middle.mu <= 1e-2
+    for z in (initial_point(problem), middle):
         for mode in ("predictor", "corrector"):
             _assert_same_direction(*_both_directions(problem, z, mode))
     # At the final iterate (mu near 1e-11) the reduced system is singular to
@@ -284,14 +287,17 @@ def test_identity_blocks_detection():
 
 def test_only_identity_blocks_take_the_null_space_path(monkeypatch,
                                                       contradictory_rows_solved):
+    # a predictor direction is two solves with one factorization: the
+    # direction and its third-order adjustment
     envelope = small_problem()
     z = initial_point(envelope)
-    assert _kkt_classes(monkeypatch, envelope, z) == [hsd._NullSpaceKKT]
+    assert _kkt_classes(monkeypatch, envelope, z) == [hsd._NullSpaceKKT] * 2
     # polymin's 1^T and contradictory rows go through the dense LU
     poly = sp.chebyshev_poly(2, 4, np.linspace(-1.0, 1.0, sp.space_dim(2, 4)))
     for problem in (sp.build_polymin(poly).problem, contradictory_rows_solved.built.problem):
         assert not problem.identity_blocks
-        assert _kkt_classes(monkeypatch, problem, initial_point(problem)) == [hsd._ReducedKKT]
+        assert (_kkt_classes(monkeypatch, problem, initial_point(problem))
+                == [hsd._ReducedKKT] * 2)
 
 
 def test_singular_null_space_system_is_a_numerical_failure(monkeypatch):
@@ -369,10 +375,12 @@ def test_predictor_zero_direction_stalls(monkeypatch):
 
 @pytest.mark.parametrize("alpha_init", [None, hsd.ALPHA_CAP])
 def test_predictor_never_tries_a_step_twice(monkeypatch, alpha_init):
-    # from the cap the first trial leaves N(beta), so the search halves;
-    # the step rejected before the accepted halving must not be tried again
+    # from the cap the first two trials leave N(beta), so the search halves
+    # twice; the step rejected before the accepted halving must not be
+    # tried again. From the start the cap's halving is accepted, so the
+    # search steps from the iterate after one iteration.
     problem = small_problem()
-    z0 = initial_point(problem)
+    z0 = _iterate_after(problem, 1)
     tried = []
     step = hsd._step
 
@@ -417,21 +425,24 @@ def _predict(problem, z, monkeypatch, screen):
 def test_predictor_screen_changes_no_step(envelope_small, envelope_small_k3,
                                           shifted_factor_iterate, monkeypatch, late):
     # the same step and bit-identical iterate with the screen as with a
-    # screen that never rejects, at the start and at the last iterate, whose
-    # Hessian Cholesky needed jitter, for k = 2 and k = 3 cone factors; a
-    # trial rejected at an early factor never evaluates the later factors'
-    # barriers. The k = 3 solve's last iterate factors every Hessian
-    # plainly, so its factor 0 is given the shifted Cholesky factor.
-    for k, inst in ((2, envelope_small), (3, envelope_small_k3)):
+    # screen that never rejects, early and at the last iterate with a
+    # jittered Hessian Cholesky, for k = 2 and k = 3 cone factors; a trial
+    # rejected at an early factor never evaluates the later factors'
+    # barriers. Early is the iterate after one iteration: from the start,
+    # k = 2 rejects its trials at the last factor only. The last iterates
+    # factor every Hessian plainly, so one factor of each (1 for k = 2, 0
+    # for k = 3, as in the screen-bound tests) is given the shifted factor.
+    for k, inst, shifted in ((2, envelope_small, 1), (3, envelope_small_k3, 0)):
         problem = inst.built.problem
         assert len(problem.cone.factors) == k
-        z = inst.result.final if late else initial_point(problem)
-        if late and k == 3:
-            z = shifted_factor_iterate(problem, z, 0)
+        if late:
+            z = shifted_factor_iterate(problem, inst.result.final, shifted)
+        else:
+            z = _iterate_after(problem, 1)
         assert z.barrier.jittered == late
         screened, verdicts, evaluated = _predict(problem, z, monkeypatch, screen=True)
         plain, _, evaluated_plain = _predict(problem, z, monkeypatch, screen=False)
-        assert late or any(verdicts)  # at the start the screen does reject
+        assert late or any(verdicts)  # early the screen does reject
         assert evaluated < evaluated_plain
         assert screened.alpha == plain.alpha and screened.stalled == plain.stalled
         for key in ("x", "y", "s"):
@@ -439,6 +450,96 @@ def test_predictor_screen_changes_no_step(envelope_small, envelope_small_k3,
                                   getattr(plain.iterate, key))
         for key in ("tau", "kappa", "mu", "nbhd_norm"):
             assert getattr(screened.iterate, key) == getattr(plain.iterate, key)
+
+
+def _linear_rows(problem, d):
+    """The embedding's linear rows at d with zero right-hand side."""
+    b, c = problem.b, problem.c
+    e1 = problem.A @ d.dx - b * d.dtau
+    e2 = -problem.A.T @ d.dy + c * d.dtau - d.ds
+    e3 = float(b @ d.dy) - float(c @ d.dx) - d.dkappa
+    return np.concatenate([e1, e2, [e3]])
+
+
+def _residual_vector(problem, point):
+    x, tau, y, s, kappa = point
+    r_p = problem.A @ x - problem.b * tau
+    r_d = -problem.A.T @ y + problem.c * tau - s
+    r_g = float(problem.b @ y) - float(problem.c @ x) - kappa
+    return np.concatenate([r_p, r_d, [r_g]])
+
+
+@pytest.mark.parametrize("kind", ["envelope-2", "envelope-3", "polymin"])
+def test_adjustment_keeps_the_residual_shrink_on_the_arc(kind):
+    # criterion 7 along the predictor's arc: the third-order adjustment
+    # solves the linear rows with zero right-hand side, on the null-space
+    # path (m = 2 and 3) and the dense-LU path (polymin), so every trial
+    # z + alpha d + alpha^2 d_adj has embedding residual (1 - alpha) r(z)
+    if kind == "polymin":
+        poly = sp.chebyshev_poly(2, 4, np.linspace(-1.0, 1.0, sp.space_dim(2, 4)))
+        problem = sp.build_polymin(poly).problem
+        assert not problem.identity_blocks
+    else:
+        problem = sp.build_envelope(1, 6, int(kind[-1]), seed=2).problem
+        assert problem.identity_blocks
+    for z in (initial_point(problem), _iterate_after(problem, 6)):
+        d = newton_direction(problem, z, "predictor")
+        adj = d.adjustment
+        assert adj is not None and adj.residual <= 1e-9
+        assert np.linalg.norm(_linear_rows(problem, adj)) <= 1e-9
+        r = _residual_vector(problem, (z.x, z.tau, z.y, z.s, z.kappa))
+        out = predictor_step(problem, z)
+        for alpha in (0.1, 0.5, out.alpha, hsd.ALPHA_CAP):
+            moved = _residual_vector(problem, hsd._stepped(z, d, alpha))
+            assert np.linalg.norm(moved - (1.0 - alpha) * r) <= 1e-9 * (1 + np.linalg.norm(r))
+
+
+def test_predictor_search_stops_at_first_trial_meeting_tolerance(monkeypatch):
+    # butcher's last search, run to the largest step, reaches mu near 2e-12,
+    # and the Gram certificate at that iterate misses the benchmark's
+    # adjoint identity, max |sum_i Lambda_i^*(S_i) - s| <= 1e-8 (1 + ||s||),
+    # by 3.6x. The search returns the first accepted trial that classify
+    # gives a status, so the solve ends there, and the certificate holds.
+    built = sp.build_polymin(sp.builtin_poly("butcher"))
+    problem, params = built.problem, SolverParams()
+    searches, outcomes = [], []
+    predictor, step = hsd.predictor_step, hsd._step
+
+    def recording_predictor(problem, z, alpha_init=None, params=None):
+        searches.append([])
+        outcomes.append(predictor(problem, z, alpha_init, params))
+        return outcomes[-1]
+
+    def recording_step(problem, z, d, alpha):
+        trial = step(problem, z, d, alpha)
+        searches[-1].append(trial)
+        return trial
+
+    monkeypatch.setattr(hsd, "predictor_step", recording_predictor)
+    monkeypatch.setattr(hsd, "_step", recording_step)
+    r = sp.solve(problem, params)
+    assert r.status == hsd.OPTIMAL and len(searches) == r.iterations
+    for i, (tried, out) in enumerate(zip(searches, outcomes)):
+        accepted = [t for t in tried if t is not None and t.in_neighborhood(hsd.BETA)]
+        meeting = [t for t in accepted if classify(problem, t, params) is not None]
+        if i < len(searches) - 1:
+            assert not meeting
+        else:
+            assert meeting and out.iterate is meeting[0] is tried[-1] is r.final
+    z = r.final
+    for factor, ev in zip(built.cone.factors, z.barrier.factor_evals):
+        cert, s = sp.lower_bound_certificate(factor, z, problem.c,
+                                             r.dual_objective - 1e-9, barrier=ev)
+        adjoint = sum(np.einsum("ua,ab,ub->u", B, S, B)
+                      for B, S in zip(factor.blocks, cert.grams))
+        assert np.max(np.abs(adjoint - s)) <= 1e-8 * (1.0 + np.linalg.norm(s))
+
+
+def test_trials_are_counted_per_iteration(envelope_small):
+    r = envelope_small.result
+    assert all(rec.trials >= 1 for rec in r.trace)
+    assert r.trials == sum(rec.trials for rec in r.trace)
+    assert fileio.solution_to_dict(r)["trials"] == r.trials
 
 
 def test_corrector_noop_inside_eta():
@@ -523,21 +624,30 @@ def test_primal_infeasible_detection(contradictory_rows_solved):
     assert r.iterations <= 100
 
 
-def test_corrector_miss_is_marked_stalled(contradictory_rows_solved):
-    # the corrector misses N(eta) once, at iteration 19; the solve goes on
-    # from the last corrector iterate and still detects infeasibility
-    r = contradictory_rows_solved.result
-    assert r.status == hsd.PRIMAL_INFEASIBLE and r.iterations == 21
-    assert [rec.iteration for rec in r.trace if rec.stalled] == [19]
-    rec = r.trace[19]
-    assert rec.iteration == 19 and rec.corrected
+def test_corrector_miss_is_marked_stalled(perturbed_rows_problem, monkeypatch):
+    # the contradictory rows' corrector phases all reach N(eta), so
+    # iteration 5's is skipped: that iteration misses N(eta), and the solve
+    # goes on from its iterate and still detects infeasibility
+    phase = hsd.corrector_phase
+    calls = []
+
+    def skip_sixth(problem, z):
+        calls.append(1)
+        return (z, 0, 0) if len(calls) == 6 else phase(problem, z)
+
+    monkeypatch.setattr(hsd, "corrector_phase", skip_sixth)
+    r = sp.solve(perturbed_rows_problem(0.0))
+    assert r.status == hsd.PRIMAL_INFEASIBLE and r.iterations == 14
+    assert [rec.iteration for rec in r.trace if rec.stalled] == [5]
+    rec = r.trace[5]
+    assert rec.iteration == 5 and rec.corrected
     assert rec.nbhd_norm > hsd.ETA * rec.mu
 
 
 def test_predictor_stall_ends_solve(monkeypatch):
     problem = small_problem()
 
-    def stalled(problem, z, alpha_init=None):
+    def stalled(problem, z, alpha_init=None, params=None):
         return hsd.PredictorOutcome(z, 0.0, True)
 
     monkeypatch.setattr(hsd, "predictor_step", stalled)

@@ -63,6 +63,37 @@ def test_barrier_log_homogeneity_identities(case):
 
 
 @st.composite
+def third_order_cases(draw):
+    """A cone, an interior point x and a direction d = x * u, |u| <= 1."""
+    cone, x = draw(interior_points())
+    return cone, x, x * draw(vector(cone.U, st.floats(-1.0, 1.0)))
+
+
+def _hess_times_d_slope(barrier, x, d, h=1e-4):
+    """Central difference of x -> H(x) d along d."""
+    return (barrier(x + h * d).hess_apply(d) - barrier(x - h * d).hess_apply(d)) / (2 * h)
+
+
+@given(third_order_cases())
+def test_third_order_matches_central_differences(case):
+    # nabla^3 F(x)[d, d] is the derivative of H(x) d along d, on an n = 1
+    # cone and on weighted n = 1 and n = 2 cones
+    cone, x, d = case
+    third = cone.barrier(x).third_order(d)
+    slope = _hess_times_d_slope(cone.barrier, x, d)
+    assert np.all(third <= 0.0)  # -2 colsum((W V)∘(W V)), a sum of squares
+    assert np.linalg.norm(third - slope) <= 1e-6 * (1e-12 + np.linalg.norm(third))
+
+
+@given(third_order_cases(), st.floats(-4.0, 4.0))
+def test_third_order_is_quadratic_in_d(case, scale):
+    cone, x, d = case
+    ev = cone.barrier(x)
+    want = scale * scale * ev.third_order(d)
+    assert np.linalg.norm(ev.third_order(scale * d) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@st.composite
 def screen_cases(draw):
     """A cone, two interior points, a vector psi and a mu >= 0."""
     cone = CONES[draw(cone_index)]
@@ -229,3 +260,24 @@ def test_solution_json_round_trip(tmp_path_factory, status, pobj, gap, iters,
     assert mu == START.mu
     for key in ("tau", "kappa", "mu"):
         assert data["iterate"][key] == getattr(START, key)
+
+
+@given(st.floats(0.1, 10.0), st.floats(-1.0, 1.0), vector(N, st.floats(-1.0, 1.0)))
+def test_adjustment_rhs_is_the_path_second_order_term(tau, rel_dtau, u):
+    # the complementarity rows of the predictor's adjustment are
+    # mu (H dx - nabla^3 F[dx, dx] / 2) for x and, for the barrier -ln tau,
+    # mu (dtau / tau^2 - T / 2) with T = -2 dtau^2 / tau^3; both third-order
+    # terms against central differences, the linear rows zero
+    z = hsd.make_iterate(SMALL_PROBLEM, START.x, tau, START.y, START.s, START.kappa)
+    dx, dtau = z.x * u, tau * rel_dtau
+    d = hsd.Direction(dx, dtau, np.zeros(K), np.zeros(N), 0.0, 0.0)
+    r1, r2, r3, r4, r5 = hsd._adjustment_rhs(SMALL_PROBLEM, z, d)
+    assert not np.any(r1) and not np.any(r2) and r3 == 0.0
+    barrier = SMALL_PROBLEM.cone.barrier
+    want4 = z.mu * (z.barrier.hess_apply(dx) - 0.5 * _hess_times_d_slope(barrier, z.x, dx))
+    assert np.linalg.norm(r4 - want4) <= 1e-6 * (1e-12 + np.linalg.norm(want4))
+    h = 1e-4
+    t_tau = (dtau / (tau + h * dtau) ** 2 - dtau / (tau - h * dtau) ** 2) / (2 * h)
+    assert abs(t_tau + 2 * dtau**2 / tau**3) <= 1e-6 * (1e-12 + 2 * dtau**2 / tau**3)
+    want5 = z.mu * (dtau / tau**2 - 0.5 * t_tau)
+    assert abs(r5 - want5) <= 1e-6 * abs(want5)

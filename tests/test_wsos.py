@@ -228,15 +228,19 @@ def test_hess_inv_apply_roundtrip_and_dense():
     assert np.linalg.norm(ev1.hess_inv_apply(rhs) - dense) <= 1e-8 * np.linalg.norm(dense)
 
 
-def test_hess_inv_apply_is_the_lower_factor_solve(envelope_small_k3, envelope_1d_100):
+def test_hess_inv_apply_is_the_lower_factor_solve(envelope_small_k3, envelope_1d_100,
+                                                  shifted_factor_iterate):
     # the factor goes to LAPACK as its upper transpose; the solve is bit for
-    # bit the one with the lower factor, at random points and at the final,
-    # jittered, iterates of solves (U = 11 and 201)
+    # bit the one with the lower factor, at random points and at the final
+    # iterates of solves (U = 11 and 201), as they are and with factor 0
+    # given the jittered, shifted factor
     rng = np.random.default_rng(13)
     evals = [cone.barrier(np.ones(cone.U) + 0.3 * rng.uniform(-1, 1, cone.U))
              for cone in (unweighted_cone(1, 6), boxed_cone(1, 5), boxed_cone(2, 3))]
     for inst in (envelope_small_k3, envelope_1d_100):
-        evals += inst.result.final.barrier.factor_evals
+        final = inst.result.final
+        evals += final.barrier.factor_evals
+        evals += shifted_factor_iterate(inst.built.problem, final, 0).barrier.factor_evals
     assert any(ev.hess_jitter for ev in evals[3:])
     for ev in evals:
         for v in (rng.standard_normal(ev.cone.U), ev.gradient):
@@ -304,18 +308,18 @@ def test_hess_chol_records_jitter(monkeypatch, sequential_factors):
     assert try_make_iterate(problem, z.x, z.tau, z.y, z.s, z.kappa) is None
 
 
-def test_screen_bound_tight_at_jittered_iterates(envelope_small, envelope_small_k3,
-                                                 shifted_factor_iterate):
+def test_screen_bound_tight_at_jittered_iterates(ray_search_finals, shifted_factor_iterate):
     # the screen's shift term is the one shift hess_chol can add, so at a
     # final iterate, each factor whose Hessian Cholesky needed that shift
     # has a bound, with its own evaluation as reference, that meets the
     # exact norm (a factor factored without it stays below by the shift
     # term); without the shift term the bound would pass the norm by more
-    # than the screen's 1e-6 rounding margin. The k = 3 solve's final
-    # iterate factors plainly, so its factor 0 is given the shifted factor.
-    for inst in (envelope_small, envelope_small_k3):
-        problem, z = inst.built.problem, inst.result.final
-        if inst is envelope_small_k3:
+    # than the screen's 1e-6 rounding margin. The final iterates are the
+    # ray search's, where k = 2 shifts factor 1; the k = 3 one factors
+    # plainly, so its factor 0 is given the shifted factor.
+    for k in (2, 3):
+        problem, z = ray_search_finals[k]
+        if k == 3:
             z = shifted_factor_iterate(problem, z, 0)
         shifted = [(factor, ref, sl) for factor, ref, sl in zip(
             problem.cone.factors, z.barrier.factor_evals, problem.cone.slices())
@@ -327,16 +331,16 @@ def test_screen_bound_tight_at_jittered_iterates(envelope_small, envelope_small_
             assert (1.0 - 1e-5) * exact <= bound <= (1.0 + 1e-6) * exact
 
 
-def test_screen_bound_refined_at_plain_near_singular_factors(envelope_small,
-                                                             envelope_small_k3,
+def test_screen_bound_refined_at_plain_near_singular_factors(ray_search_finals,
                                                              monkeypatch):
-    # at the final iterates, factors whose Hessian factored plainly still
-    # have eigenvalues below the shift, so the shift term swamps the bound
-    # for w = H^{-1} psi alone; the bound over span{w, H^{-1} w} stays below
-    # the norm with the shift and recovers most of what that term took
+    # at the ray search's final iterates, factors whose Hessian factored
+    # plainly still have eigenvalues below the shift, so the shift term
+    # swamps the bound for w = H^{-1} psi alone; the bound over
+    # span{w, H^{-1} w} stays below the norm with the shift and recovers
+    # most of what that term took
     gains = []
-    for inst in (envelope_small, envelope_small_k3):
-        problem, z = inst.built.problem, inst.result.final
+    for k in (2, 3):
+        problem, z = ray_search_finals[k]
         for factor, ref, sl in zip(problem.cone.factors, z.barrier.factor_evals,
                                    problem.cone.slices()):
             if ref.hess_jitter != 0.0:
