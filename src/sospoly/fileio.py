@@ -267,6 +267,7 @@ def certificate_to_dict(factor_reports: list) -> dict:
             entry["verification"] = {
                 "passed": bool(report.passed),
                 "residual": report.adjoint_residual,
+                "error_bound": report.error_bound,
                 "block_psd": [bool(v) for v in report.block_psd],
             }
         if deco is not None:

@@ -10,6 +10,13 @@ whenever ||H(x)^{-1/2}(s + delta g(x))|| < delta for some delta > 0 -- a
 condition every neighborhood iterate of the solver meets with delta = mu(z).
 Explicit decompositions into weighted squares follow from eigendecomposing
 each S_i.
+
+Verification recomputes the adjoint identity in working precision with one
+gemm per block, and bounds the rounding of that evaluation at every point by
+the standard inner-product and matrix-product error bounds; the bound holds
+for an ordinary (non-Strassen) BLAS under the standard rounding model. A
+certificate passes only when the recomputed residual plus that bound is
+within the tolerance, so a tolerance below the bound can never pass.
 """
 
 from __future__ import annotations
@@ -20,8 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .wsos import InterpWSOSCone
+from .wsos import InterpWSOSCone, diag_quadform
 
+# unit roundoff of IEEE double precision, the u of the standard model
+# fl(a op b) = (a op b)(1 + delta), |delta| <= u
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # most negative LDL pivot a PSD Gram block may show, and the eigenvalue floor
 # below which sos_terms calls a block not PSD rather than round-off
 PIVOT_TOL = 1e-10
@@ -55,9 +65,13 @@ class SosDecomposition:
 
 @dataclass
 class VerificationReport:
+    """Outcome of ``verify_certificate``; ``adjoint_residual`` and ``passed``
+    use the certified bound."""
+
     passed: bool
-    adjoint_residual: float
-    pointwise_residual: np.ndarray
+    adjoint_residual: float  # max_u |r_u - s_u| + beta_u, bounds the exact residual
+    error_bound: float  # max_u beta_u, the rounding bound on the recomputed adjoint
+    pointwise_residual: np.ndarray  # the computed r - s, without the bound
     block_psd: list
     block_min_pivot: list
 
@@ -135,74 +149,6 @@ def lower_bound_certificate(cone: InterpWSOSCone, iterate, c, lb,
     return _certificate(cone, grams, s_cert, z.mu / z.tau**2), s_cert
 
 
-# the compensated adjoint sum takes its points in chunks of about this many
-# terms, which bounds its scratch arrays
-_SUM_CHUNK_TERMS = 1 << 18
-
-
-def _sum2_rows(P: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Compensated sum of each row of P (destroyed), Sum2 over a pairwise tree.
-
-    Each pass adds the two halves of the remaining columns with TwoSum
-    (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 2005), an odd column
-    carried over; the exact rounding errors are summed on the side and
-    added once at the end. The result is as accurate as if summed in twice
-    the working precision and then rounded:
-    |result - sum| <= eps |sum| + gamma_{m-1}^2 sum |p|, m terms per row.
-    ``scratch``, two arrays of at least P's rows and half its columns,
-    holds every pass's temporaries.
-    """
-    rows, m = P.shape
-    t_buf, z_buf = scratch
-    err = np.zeros(rows)
-    while m > 1:
-        h = m // 2
-        a, b = P[:, :h], P[:, h:2 * h]
-        t, z = t_buf[:rows, :h], z_buf[:rows, :h]
-        np.add(a, b, out=t)
-        np.subtract(t, a, out=z)
-        np.subtract(b, z, out=b)  # b's columns are not read again
-        np.subtract(t, z, out=z)
-        np.subtract(a, z, out=z)
-        z += b                    # (a - (t - z)) + (b - z), the TwoSum error
-        err += z.sum(axis=1)
-        a[...] = t
-        if m % 2:
-            P[:, h] = P[:, m - 1]
-        m = h + m % 2
-    return P[:, 0] + err
-
-
-def _compensated_adjoint_sum(cone: InterpWSOSCone, grams) -> np.ndarray:
-    """sum_i diag(Ptilde_i S_i Ptilde_i^T) with compensated (Sum2) accumulation.
-
-    Every term is the rounded product (B[u, a] * S[a, b]) * B[u, b]; the
-    terms of one point are summed by :func:`_sum2_rows`, chunks of points
-    at a time. One term buffer and the two scratch buffers of the sum are
-    allocated once and reused by every chunk; the scratch also holds each
-    block's first products, since an in-place product on a strided block
-    of the term buffer would make numpy copy it.
-    """
-    width = sum(S.size for S in grams)
-    chunk = max(1, _SUM_CHUNK_TERMS // width)
-    rows = min(chunk, cone.U)
-    terms = np.empty((rows, width))
-    scratch = np.empty((2, rows, (width + 1) // 2))  # holds rows * width
-    out = np.empty(cone.U)
-    for lo in range(0, cone.U, chunk):
-        hi = min(lo + chunk, cone.U)
-        P = terms[:hi - lo]
-        col = 0
-        for B, S in zip(cone.blocks, grams):
-            left = scratch.reshape(-1)[:(hi - lo) * S.size].reshape(hi - lo, *S.shape)
-            np.multiply(B[lo:hi, :, None], S, out=left)
-            np.multiply(left, B[lo:hi, None, :],
-                        out=P[:, col:col + S.size].reshape(hi - lo, *S.shape))
-            col += S.size
-        out[lo:hi] = _sum2_rows(P, scratch)
-    return out
-
-
 def _ldl_min_pivot(S: np.ndarray) -> tuple[bool, float]:
     """PSD check via LDL: smallest eigenvalue of the 1x1/2x2 block-diagonal D."""
     _, D, _ = scipy.linalg.ldl(S)
@@ -210,28 +156,69 @@ def _ldl_min_pivot(S: np.ndarray) -> tuple[bool, float]:
     return min_pivot >= -PIVOT_TOL, min_pivot
 
 
+def _adjoint_with_bound(cone: InterpWSOSCone, grams) -> tuple[np.ndarray, np.ndarray]:
+    """sum_i Lambda_i^*(S_i) at every point, and a bound on its rounding error.
+
+    Both sums take one gemm and one rowwise dot per block (``diag_quadform``);
+    the bound is ``verify_certificate``'s beta.
+    """
+    adjoint = np.zeros(cone.U)
+    magnitude = np.zeros(cone.U)
+    for i, S in enumerate(grams):
+        adjoint += cone.lambda_adjoint(i, S)
+        magnitude += diag_quadform(np.abs(cone.blocks[i]), np.abs(S))
+    k = 2 * max(cone.dims) + len(cone.dims)
+    gamma = k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+    return adjoint, 2.0 * gamma * magnitude
+
+
 def verify_certificate(cone: InterpWSOSCone, s, cert: GramCertificate,
                        tol: float = 1e-8) -> VerificationReport:
-    """Independent certificate check in compensated floating point.
+    """Independent certificate check, with a rigorous bound on its own rounding.
 
-    Recomputes the adjoint identity sum_i Lambda_i^*(S_i) = s with
-    compensated (Sum2) summation and tests positive semidefiniteness of each block via LDL
-    factorization; the pointwise identity is reported at all U points.
+    Recomputes r = sum_i Lambda_i^*(S_i) with one gemm per block, as the
+    row sums of (Ptilde_i S_i)∘Ptilde_i, and bounds its rounding at every
+    point by
+
+        beta_u = 2 gamma_k sum_i diag(|Ptilde_i| |S_i| |Ptilde_i|^T)_u,
+        gamma_k = k u / (1 - k u),   k = 2 max_i L_i + m,
+
+    with u = 2^-53 and m blocks. Each term of r_u meets at most L_i
+    roundings in the gemm's inner product, one in the product with
+    Ptilde_i, L_i - 1 in the row sum and m in the sum over blocks; the
+    inner-product and matrix-product bounds (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., 3.1 and 3.5) then give
+    |r_u - exact_u| <= gamma_k times the same sum of absolute terms, and
+    the factor 2 covers the rounding of beta itself. The bound assumes the
+    standard model of floating-point arithmetic, no underflow, and a BLAS
+    that multiplies matrices by inner products in any order (an ordinary
+    BLAS, not a Strassen-like fast product).
+
+    ``adjoint_residual`` is the certified residual max_u(|r_u - s_u| +
+    beta_u), an upper bound on the exact one; ``error_bound`` is max_u
+    beta_u and ``pointwise_residual`` the computed r - s. The certificate
+    passes when every block is PSD by the smallest pivot of its LDL
+    factor and the certified residual is at most tol (1 + ||s||_inf),
+    lowered by 6u for the roundings of that comparison, so that a pass
+    means the exact adjoint identity holds to tol (1 + ||s||_inf). A tol
+    whose limit is below the bound can never pass.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite positive number, got {tol!r}")
     s = np.asarray(s, dtype=float)
-    recomputed = _compensated_adjoint_sum(cone, cert.grams)
+    recomputed, bound = _adjoint_with_bound(cone, cert.grams)
     pointwise = recomputed - s
-    residual = float(np.max(np.abs(pointwise)))
+    residual = float(np.max(np.abs(pointwise) + bound))
     block_psd = []
     block_min_pivot = []
     for S in cert.grams:
         ok, piv = _ldl_min_pivot(S)
         block_psd.append(ok)
         block_min_pivot.append(piv)
-    passed = bool(all(block_psd) and residual <= tol * (1.0 + np.linalg.norm(s, np.inf)))
-    return VerificationReport(passed, residual, pointwise, block_psd, block_min_pivot)
+    limit = tol * (1.0 + float(np.max(np.abs(s)))) * (1.0 - 6.0 * UNIT_ROUNDOFF)
+    passed = bool(all(block_psd) and residual <= limit)
+    return VerificationReport(passed, residual, float(np.max(bound)), pointwise,
+                              block_psd, block_min_pivot)
 
 
 def sos_terms(cert: GramCertificate, cone: InterpWSOSCone) -> SosDecomposition:

@@ -41,6 +41,11 @@ class WeightSpec:
     degree: int
 
 
+def diag_quadform(B: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """diag(B S B^T) as the row sums of (B S)∘B: one gemm and a rowwise dot."""
+    return np.einsum("ij,ij->i", B @ S, B)
+
+
 class InterpWSOSCone:
     """Dual WSOS cone at U interpolation points.
 
@@ -84,8 +89,7 @@ class InterpWSOSCone:
 
     def lambda_adjoint(self, i: int, S: np.ndarray) -> np.ndarray:
         """Adjoint Lambda_i^*(S) = diag(Ptilde_i S Ptilde_i^T), length U."""
-        B = self.blocks[i]
-        return np.einsum("ua,ab,ub->u", B, np.asarray(S, dtype=float), B)
+        return diag_quadform(self.blocks[i], np.asarray(S, dtype=float))
 
     def in_interior(self, x: np.ndarray):
         """Cholesky factors of every Lambda_i(x), or None if x is not interior."""

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from sospoly import fileio, hsd, wsos
 from sospoly.hsd import initial_point
 from sospoly.recovery import (
     PIVOT_TOL,
-    _compensated_adjoint_sum,
     _ldl_min_pivot,
     recover_gram,
+    verify_certificate,
 )
 
 
@@ -162,9 +163,48 @@ def test_recovered_grams_reproduce_s(case):
     # sum_i Lambda_i^*(S_i) = s holds for any s; positivity is what needs
     # the neighborhood hypothesis
     cone, x, s, delta = case
-    grams = recover_gram(cone, x, s, delta).grams
-    residual = np.max(np.abs(_compensated_adjoint_sum(cone, grams) - s))
+    cert = recover_gram(cone, x, s, delta)
+    residual = verify_certificate(cone, s, cert).adjoint_residual  # certified
     assert residual <= 1e-8 * (1.0 + np.linalg.norm(s))
+
+
+# cones with U <= 10 points and blocks of L <= 4, small enough for exact sums
+TINY_CONES = [
+    CONES[0],
+    sp.build_cone(sp.cheb2_points(6), [box_weight, ones_weight], [2, 3]),
+    sp.build_cone(sp.padua_points(2), [box_weight, ones_weight], [0, 1]),
+]
+
+
+@st.composite
+def tiny_certificates(draw):
+    """A tiny cone, PSD Gram blocks scaled by up to 1e12, a tol and an s whose
+    computed residual is up to twice the limit tol (1 + ||s||_inf)."""
+    cone = TINY_CONES[draw(st.integers(0, len(TINY_CONES) - 1))]
+    grams = []
+    for L in cone.dims:
+        A = draw(vector((L, L), st.floats(-1.0, 1.0)))
+        grams.append(10.0 ** draw(st.integers(0, 12)) * (A @ A.T))
+    tol = 10.0 ** draw(st.integers(-16, -6))
+    r = sum(cone.lambda_adjoint(i, S) for i, S in enumerate(grams))
+    offset = draw(vector(cone.U, st.floats(-2.0, 2.0)))
+    return cone, grams, r + offset * tol * (1.0 + np.max(np.abs(r))), tol
+
+
+@given(tiny_certificates())
+def test_verified_certificate_meets_tol_exactly(case):
+    # the certified residual bounds the exact one, so a pass means the
+    # exact identity holds to tol (1 + ||s||_inf)
+    cone, grams, s, tol = case
+    report = verify_certificate(cone, s, sp.GramCertificate(grams, 0.0, [], 0.0), tol=tol)
+    exact = max(
+        abs(sum(Fraction(B[u, a]) * Fraction(S[a, b]) * Fraction(B[u, b])
+                for B, S in zip(cone.blocks, grams)
+                for a in range(S.shape[0]) for b in range(S.shape[0])) - Fraction(s[u]))
+        for u in range(cone.U))
+    assert exact <= Fraction(report.adjoint_residual)
+    if report.passed:
+        assert exact <= Fraction(tol) * (1 + Fraction(float(np.max(np.abs(s)))))
 
 
 def _pivot_block_scan(S):

@@ -1,24 +1,23 @@
 """Gram certificate recovery, verification, and SOS decompositions."""
 
 import itertools
+import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import sospoly as sp
+from sospoly import fileio
 from sospoly.hsd import initial_point
 from sospoly.recovery import (
-    _SUM_CHUNK_TERMS,
-    _compensated_adjoint_sum,
-    _sum2_rows,
+    _adjoint_with_bound,
     lower_bound_certificate,
     recover_gram,
     sos_terms,
     verify_certificate,
 )
-from sospoly.wsos import NotInteriorError, build_cone
+from sospoly.wsos import InterpWSOSCone, NotInteriorError, build_cone
 
 
 def ones_weight(t):
@@ -199,20 +198,40 @@ def test_butcher_lower_bound_workflow(butcher_solved):
     assert report.adjoint_residual <= 1e-8 * (1 + np.linalg.norm(s_cert, np.inf))
 
 
-def _fsum_adjoint(cone, grams):
-    """The adjoint sum term by term, (B[u,a] * S[a,b]) * B[u,b], with math.fsum."""
+def _split(a):
+    """Veltkamp's split of a into hi + lo, each with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b):
+    """p + e = a * b exactly, p = fl(a * b) (Dekker), barring overflow and underflow."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _exact_adjoint(cone, grams):
+    """sum_i diag(B_i S_i B_i^T) correctly rounded: every triple product
+    B[u,a] S[a,b] B[u,b] split exactly into four doubles, summed by math.fsum."""
     out = np.empty(cone.U)
     for u in range(cone.U):
         parts = []
         for B, S in zip(cone.blocks, grams):
             row = B[u]
-            parts.extend((row[:, None] * S * row[None, :]).ravel())
+            p, e = _two_prod(row[:, None], S)
+            for half in (p, e):
+                hi, lo = _two_prod(half, row[None, :])
+                parts.extend(hi.ravel())
+                parts.extend(lo.ravel())
         out[u] = math.fsum(parts)
     return out
 
 
-def test_compensated_sum_within_an_ulp_of_fsum(envelope_small, envelope_1d_100,
-                                              butcher_solved):
+def test_adjoint_within_its_bound_of_the_exact_sum(envelope_small, envelope_1d_100,
+                                                   butcher_solved):
     certs = []
     for solved in (envelope_small, envelope_1d_100):
         z, cone = solved.result.final, solved.built.cone
@@ -224,47 +243,45 @@ def test_compensated_sum_within_an_ulp_of_fsum(envelope_small, envelope_1d_100,
         built.cone.factors[0], r.final, built.problem.c, r.dual_objective - 1e-9,
         barrier=r.final.barrier.factor_evals[0])[0]))
     for factor, cert in certs:
-        want = _fsum_adjoint(factor, cert.grams)
-        got = _compensated_adjoint_sum(factor, cert.grams)
-        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+        want = _exact_adjoint(factor, cert.grams)
+        got, bound = _adjoint_with_bound(factor, cert.grams)
+        # the exact sum is within half an ulp of want
+        assert np.all(np.abs(got - want) + np.spacing(np.abs(want)) <= bound)
 
 
-def test_compensated_sum_allocates_its_buffers_once(envelope_1d_100):
-    # the term buffer (one chunk of points) and the sum's two scratch
-    # halves are the only large arrays, whatever the number of chunks
-    factor = envelope_1d_100.built.cone.factors[0]
-    rng = np.random.default_rng(5)
-    grams = [G @ G.T for G in (rng.standard_normal((L, L)) for L in factor.dims)]
-    width = sum(S.size for S in grams)
-    rows = _SUM_CHUNK_TERMS // width
-    assert factor.U > 2 * rows  # several chunks, the last one partial
-    tracemalloc.start()
-    try:
-        _compensated_adjoint_sum(factor, grams)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # beyond the two buffers: numpy's iteration buffers and small vectors
-    assert peak <= 2 * 8 * rows * width + (256 << 10)
+def test_verify_fails_when_the_rounding_bound_exceeds_tol():
+    # two nearly parallel basis columns and a PSD Gram matrix whose 1e18
+    # entries cancel in the adjoint to values below 1: s is the computed
+    # adjoint itself, so the computed residual is 0, but its rounding is
+    # of the order u * 1e18 and the bound must decide
+    P = unweighted_cone(1).blocks[0]
+    cone = InterpWSOSCone([np.column_stack([P[:, 0], P[:, 0] + 1e-9 * P[:, 1]])])
+    S = 1e18 * np.array([[1.0, -1.0], [-1.0, 1.0]]) + np.eye(2)
+    s, bound = _adjoint_with_bound(cone, [S])
+    cert = sp.GramCertificate([S], 0.0, [0.0], 1.0)
+    limit = 1e-8 * (1 + np.max(np.abs(s)))
+    assert np.max(np.abs(s)) < 1 and np.max(bound) > limit
+    report = verify_certificate(cone, s, cert)
+    assert np.max(np.abs(report.pointwise_residual)) < limit
+    assert all(report.block_psd)
+    assert not report.passed
+    assert report.error_bound == np.max(bound)
+    # a tolerance whose limit covers the bound passes the same certificate
+    tol = 2 * report.error_bound / (1 + np.max(np.abs(s)))
+    assert verify_certificate(cone, s, cert, tol=tol).passed
 
 
-def test_sum2_bound_under_heavy_cancellation():
-    # rows of large terms that cancel to a small sum, condition number ~1e16
-    rng = np.random.default_rng(31)
-    rows, m = 40, 301
-    big = rng.standard_normal((rows, m // 2)) * 10.0 ** rng.integers(0, 16, (rows, m // 2))
-    small = rng.standard_normal((rows, m - 2 * (m // 2)))
-    P = np.concatenate([big, -big * (1 + 1e-15 * rng.standard_normal(big.shape)), small],
-                       axis=1)
-    P = rng.permuted(P, axis=1)
-    exact = np.array([math.fsum(row) for row in P])
-    eps = np.finfo(float).eps / 2
-    gamma = (m - 1) * eps / (1 - (m - 1) * eps)
-    bound = eps * np.abs(exact) + gamma**2 * np.abs(P).sum(axis=1)
-    naive = P.sum(axis=1)
-    assert np.any(np.abs(naive - exact) > bound)  # the inputs do need compensation
-    got = _sum2_rows(P.copy(), np.empty((2, rows, m // 2)))
-    assert np.all(np.abs(got - exact) <= bound)
+def test_error_bound_json_round_trip():
+    cone = unweighted_cone(3)
+    s = np.diag(cone.blocks[0] @ cone.blocks[0].T)
+    cert = recover_gram(cone, np.ones(cone.U), s, delta=1.0)
+    report = verify_certificate(cone, s, cert)
+    assert 0 < report.error_bound <= report.adjoint_residual
+    back = json.loads(json.dumps(fileio.certificate_to_dict([(cert, report, None)])))
+    verification = back["factors"][0]["verification"]
+    assert verification["error_bound"] == report.error_bound
+    assert verification["residual"] == report.adjoint_residual
+    assert verification["passed"] is True
 
 
 # ----------------------------------------------------------------------
