@@ -13,7 +13,8 @@ the others on a pool of one worker per further usable core. numpy's and
 scipy's BLAS and LAPACK calls release the GIL, so the factors overlap while
 each call still runs on one BLAS thread. ``extra_workers`` is 0, and
 everything runs in the caller, when one core is usable
-(``os.sched_getaffinity``) or when SOSPOLY_KEEP_BLAS_THREADS is set,
+(``os.sched_getaffinity`` where the platform has it, as on Linux, and
+``os.cpu_count`` elsewhere) or when SOSPOLY_KEEP_BLAS_THREADS is set,
 because BLAS then threads itself. ``wsos.ProductBarrierEval.centrality``
 asks for it only when the cone has two or more factors and the smallest
 has at least ``wsos.CONCURRENT_MIN_U`` points.
@@ -61,7 +62,9 @@ def extra_workers() -> int:
     """Threads besides the caller's that ``map_factors`` may use."""
     if os.environ.get("SOSPOLY_KEEP_BLAS_THREADS"):
         return 0
-    return len(os.sched_getaffinity(0)) - 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) - 1
+    return (os.cpu_count() or 1) - 1  # macOS and Windows have no affinity call
 
 
 def _executor(workers: int) -> ThreadPoolExecutor:

@@ -100,7 +100,8 @@ class ConicProblem:
     contradiction among the same rows) is rejected.
 
     ``identity_blocks`` records once whether A = [I ... I] is m >= 2
-    identity blocks, one per cone factor (the envelope form); the Newton
+    identity blocks, one per cone factor (the envelope form); such rows are
+    independent by structure, so the rank check is skipped, the Newton
     systems of such a problem are solved in the null space of A, and
     ``matvec`` and ``rmatvec`` apply A and A^T by that structure.
     """
@@ -115,12 +116,12 @@ class ConicProblem:
             raise ValueError("inconsistent dimensions among A, b, c")
         if self.cone.dim != N:
             raise ValueError("cone dimension does not match the variable count")
-        if _rank(np.column_stack([self.A, self.b])) < k:
+        self.identity_blocks = _is_identity_stack(self.A, self.cone)
+        if not self.identity_blocks and _rank(np.column_stack([self.A, self.b])) < k:
             raise ValueError(
                 "the rows of [A b] are linearly dependent, which makes the "
                 "Newton system singular; drop the dependent rows"
             )
-        self.identity_blocks = _is_identity_stack(self.A, self.cone)
 
     @property
     def shape(self):

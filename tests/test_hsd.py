@@ -64,6 +64,19 @@ def test_dependent_contradictory_rows_rejected():
         ConicProblem(A, np.array([1.0, 2.0, 3.0]), np.ones(5), cone)
 
 
+def test_identity_stack_skips_the_rank_check(monkeypatch):
+    # the rows of [I ... I] are independent by structure, so an envelope,
+    # built or loaded from its problem file, never takes the SVD of [A b]
+    def no_svd(M):
+        raise AssertionError("rank check run on an identity stack")
+
+    problem = small_problem()
+    monkeypatch.setattr(hsd, "_rank", no_svd)
+    built = ConicProblem(problem.A, problem.b, problem.c, problem.cone)
+    loaded = fileio.problem_from_dict(fileio.problem_to_dict(problem))
+    assert built.identity_blocks and loaded.identity_blocks
+
+
 # ----------------------------------------------------------------------
 # initialization
 
@@ -598,10 +611,17 @@ def test_mu_geometric_decrease(envelope_small):
         assert mus[i + 10] <= mus[i] / 2.0
 
 
-def test_residual_linearity(envelope_small):
-    for rec in envelope_small.result.trace:
-        if rec.stalled:
-            continue
+@pytest.mark.parametrize("name", ["envelope_small", "butcher_solved", "caprasse_solved",
+                                  "magnetism_solved", "contradictory_rows_solved"])
+def test_residual_linearity(request, name):
+    # criterion 7's residual shrink over whole solves: the envelope's Newton
+    # systems take the null-space Cholesky, polymin's 1^T and contradictory
+    # rows the LU of _ReducedKKT
+    inst = request.getfixturevalue(name)
+    assert inst.built.problem.identity_blocks == (name == "envelope_small")
+    records = [rec for rec in inst.result.trace if not rec.stalled]
+    assert records
+    for rec in records:
         expected = (1.0 - rec.alpha_p) * rec.residual_before
         assert abs(rec.residual_after - expected) <= 1e-9 * (1 + rec.residual_before)
 

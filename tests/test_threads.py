@@ -211,3 +211,14 @@ def test_no_pool_with_one_core_or_kept_blas_threads(monkeypatch, fresh_pool, one
     assert _threads.extra_workers() == 0
     assert sp.solve(sp.build_envelope(1, 12, 3, seed=3).problem).status == "Optimal"
     assert _threads._pool is None
+
+
+@pytest.mark.parametrize("cpus, want", [(4, 3), (None, 0)])
+def test_workers_without_affinity_call(monkeypatch, cpus, want):
+    # macOS and Windows have no os.sched_getaffinity: the core count stands in
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.delenv("SOSPOLY_KEEP_BLAS_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert _threads.extra_workers() == want
+    monkeypatch.setenv("SOSPOLY_KEEP_BLAS_THREADS", "1")
+    assert _threads.extra_workers() == 0

@@ -331,14 +331,12 @@ def test_screen_bound_tight_at_jittered_iterates(ray_search_finals, shifted_fact
             assert (1.0 - 1e-5) * exact <= bound <= (1.0 + 1e-6) * exact
 
 
-def test_screen_bound_refined_at_plain_near_singular_factors(ray_search_finals,
-                                                             monkeypatch):
+def test_screen_bound_below_the_shifted_norm_at_plain_near_singular_factors(
+        ray_search_finals):
     # at the ray search's final iterates, factors whose Hessian factored
-    # plainly still have eigenvalues below the shift, so the shift term
-    # swamps the bound for w = H^{-1} psi alone; the bound over
-    # span{w, H^{-1} w} stays below the norm with the shift and recovers
-    # most of what that term took
-    gains = []
+    # plainly still have eigenvalues below the shift; there the bound for
+    # w = H^{-1} psi stays below the norm with the shift
+    count = 0
     for k in (2, 3):
         problem, z = ray_search_finals[k]
         for factor, ref, sl in zip(problem.cone.factors, z.barrier.factor_evals,
@@ -346,16 +344,12 @@ def test_screen_bound_refined_at_plain_near_singular_factors(ray_search_finals,
             if ref.hess_jitter != 0.0:
                 continue
             bound = factor.barrier(z.x[sl]).inv_quadform_lower_bound(z.s[sl], z.mu, ref)
-            with monkeypatch.context() as m:
-                m.setattr(sp.wsos, "REFINE_SHIFT_SHARE", np.inf)
-                single = factor.barrier(z.x[sl]).inv_quadform_lower_bound(
-                    z.s[sl], z.mu, ref)
             H, psi = ref.hessian, z.s[sl] + z.mu * ref.gradient
             shift = HESS_SHIFT * np.mean(np.diag(H))
             half = np.linalg.solve(np.linalg.cholesky(H + shift * np.eye(factor.U)), psi)
-            assert single <= bound <= (1.0 + 1e-9) * float(half @ half)
-            gains.append(bound / single)
-    assert len(gains) == 4 and max(gains) > 10.0
+            assert bound <= (1.0 + 1e-9) * float(half @ half)
+            count += 1
+    assert count == 4
 
 
 def test_conditioning_bound():
