@@ -394,7 +394,7 @@ class _ReducedKKT:
                                                       r1, r2, r3, r5)
             res = math.sqrt(float(e1 @ e1) + float(e2 @ e2) + e3 * e3 + e5 * e5)
             if best is None or res < best[0]:
-                best = (res, (dx.copy(), dy.copy(), dtau, ds.copy(), dkappa))
+                best = (res, (dx, dy, dtau, ds, dkappa))
             else:
                 break
             if res <= 1e-15 * rhs_scale:
@@ -673,8 +673,8 @@ def classify(problem, z: Iterate, params: SolverParams):
     return None
 
 
-def _result_from(problem, z: Iterate, status, iterations, trace, jittered, message=""):
-    """The SolveResult at z; the trial total is summed over the trace."""
+def _result_from(problem, z: Iterate, status, trace, jittered, message=""):
+    """The SolveResult at z: one iteration per trace record, trials summed over them."""
     rel_p, rel_d, rel_gap = _residuals(problem, z)
     scale = z.tau if (status == OPTIMAL and z.tau > 0) else 1.0
     if jittered:
@@ -687,7 +687,7 @@ def _result_from(problem, z: Iterate, status, iterations, trace, jittered, messa
         rel_primal_infeas=rel_p,
         rel_dual_infeas=rel_d,
         rel_gap=rel_gap,
-        iterations=iterations,
+        iterations=len(trace),
         x=z.x / scale,
         y=z.y / scale,
         s=z.s / scale,
@@ -700,7 +700,12 @@ def _result_from(problem, z: Iterate, status, iterations, trace, jittered, messa
 
 
 def solve(problem: ConicProblem, params: SolverParams | None = None) -> SolveResult:
-    """Run the predictor-corrector loop from the centered initial point."""
+    """Run the predictor-corrector loop from the centered initial point.
+
+    Each iteration appends its TraceRecord first, as a stall at the iterate
+    it starts from, and fills it in as its work succeeds: every stop leaves
+    one record per iteration, the last describing the iterate reported.
+    """
     params = params or SolverParams()
     trace = []
     try:
@@ -708,54 +713,46 @@ def solve(problem: ConicProblem, params: SolverParams | None = None) -> SolveRes
     except NotInteriorError as exc:
         return SolveResult(status=NUMERICAL_FAILURE, message=str(exc))
 
+    message = ""
     misses = 0
     jittered = int(z.barrier.jittered)
     last_alpha = None
-    for it_count in range(params.max_iters):
-        status = classify(problem, z, params)
-        if status is not None:
-            return _result_from(problem, z, status, it_count, trace, jittered)
+    while (status := classify(problem, z, params)) is None:
+        if len(trace) == params.max_iters:
+            status, message = ITERATION_LIMIT, "iteration limit reached"
+            break
+        res_before = embedding_residual_norm(problem, z)
+        rec = TraceRecord(len(trace), z.mu, 0.0, z.nbhd_norm, 0, res_before, res_before,
+                          stalled=True)
+        trace.append(rec)
         try:
-            res_before = embedding_residual_norm(problem, z)
             outcome = predictor_step(problem, z, alpha_init=last_alpha, params=params)
+            rec.trials = outcome.trials
             if outcome.stalled:
-                trace.append(TraceRecord(it_count, z.mu, 0.0, z.nbhd_norm, 0,
-                                         res_before, res_before, stalled=True,
-                                         trials=outcome.trials))
-                return _result_from(
-                    problem, z, NUMERICAL_FAILURE, it_count + 1, trace, jittered,
-                    message=f"predictor stalled: no acceptable step above {ALPHA_MIN:g}",
-                )
-            last_alpha = outcome.alpha
+                status = NUMERICAL_FAILURE
+                message = f"predictor stalled: no acceptable step above {ALPHA_MIN:g}"
+                break
             z = outcome.iterate
             jittered += z.barrier.jittered
-            res_after = embedding_residual_norm(problem, z)
+            last_alpha = rec.alpha_p = outcome.alpha
+            rec.mu, rec.nbhd_norm = z.mu, z.nbhd_norm
+            rec.residual_after = embedding_residual_norm(problem, z)
             status = classify(problem, z, params)
             if status is not None:
-                trace.append(TraceRecord(it_count, z.mu, outcome.alpha, z.nbhd_norm,
-                                         0, res_before, res_after, corrected=False,
-                                         trials=outcome.trials))
-                return _result_from(problem, z, status, it_count + 1, trace, jittered)
+                rec.stalled = rec.corrected = False
+                break
             # a miss continues from the last corrector iterate
-            z, c_steps, c_jittered = corrector_phase(problem, z)
+            z, rec.corrector_steps, c_jittered = corrector_phase(problem, z)
             jittered += c_jittered
-            missed = not z.in_neighborhood(ETA)
-            misses = misses + 1 if missed else 0
-            trace.append(TraceRecord(it_count, z.mu, outcome.alpha, z.nbhd_norm,
-                                     c_steps, res_before, res_after, stalled=missed,
-                                     trials=outcome.trials))
+            rec.mu, rec.nbhd_norm = z.mu, z.nbhd_norm
+            rec.stalled = not z.in_neighborhood(ETA)
+            misses = misses + 1 if rec.stalled else 0
             if misses >= MAX_STALLS:
-                return _result_from(
-                    problem, z, NUMERICAL_FAILURE, it_count + 1, trace, jittered,
-                    message=f"corrector failed to reach N(eta) in {R_C} steps "
-                            f"(norm {z.nbhd_norm:.3e} vs {ETA * z.mu:.3e})",
-                )
+                status = NUMERICAL_FAILURE
+                message = (f"corrector failed to reach N(eta) in {R_C} steps "
+                           f"(norm {z.nbhd_norm:.3e} vs {ETA * z.mu:.3e})")
+                break
         except SolverError as exc:
-            return _result_from(problem, z, NUMERICAL_FAILURE, it_count + 1,
-                                trace, jittered, message=str(exc))
-
-    status = classify(problem, z, params)
-    if status is not None:
-        return _result_from(problem, z, status, params.max_iters, trace, jittered)
-    return _result_from(problem, z, ITERATION_LIMIT, params.max_iters, trace, jittered,
-                        message="iteration limit reached")
+            status, message = NUMERICAL_FAILURE, str(exc)
+            break
+    return _result_from(problem, z, status, trace, jittered, message)

@@ -171,8 +171,7 @@ def _cheb_values_1d(t: np.ndarray, deg: int) -> np.ndarray:
     return out
 
 
-def _basis_rows(points: np.ndarray, box: BoxDomain, deg: int, out: np.ndarray,
-                normalized: bool = False) -> None:
+def _basis_rows(points: np.ndarray, box: BoxDomain, deg: int, out: np.ndarray) -> None:
     """Fill ``out``, shape (dim V_{n,deg}, M), with the transposed basis values.
 
     Row j of ``out`` holds T_alpha at the M points for the j-th graded-lex
@@ -181,18 +180,13 @@ def _basis_rows(points: np.ndarray, box: BoxDomain, deg: int, out: np.ndarray,
     """
     unit_pts = box.to_unit(points)
     tables = [_cheb_values_1d(unit_pts[:, k], deg) for k in range(box.n)]
-    if normalized:
-        scale = np.full((deg + 1, 1), math.sqrt(2.0 / (deg + 1)))
-        scale[0] = math.sqrt(1.0 / (deg + 1))
-        tables = [vals * scale for vals in tables]
     for row, alpha in zip(out, graded_lex_exponents(box.n, deg)):
         row[:] = tables[0][alpha[0]]
         for table, a in zip(tables[1:], alpha[1:]):
             row *= table[a]
 
 
-def cheb_basis_values(points: np.ndarray, box: BoxDomain, deg: int,
-                      normalized: bool = False) -> np.ndarray:
+def cheb_basis_values(points: np.ndarray, box: BoxDomain, deg: int) -> np.ndarray:
     """Tensor Chebyshev basis values at arbitrary points; shape (M, dim V_{n,deg}).
 
     Column j holds T_alpha(t) = prod_k T_{alpha_k}(t_k) with alpha running over
@@ -204,7 +198,7 @@ def cheb_basis_values(points: np.ndarray, box: BoxDomain, deg: int,
         raise ValueError("degree must be nonnegative")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     rows = np.empty((space_dim(box.n, deg), points.shape[0]))
-    _basis_rows(points, box, deg, rows, normalized)
+    _basis_rows(points, box, deg, rows)
     return np.ascontiguousarray(rows.T)
 
 
@@ -216,7 +210,11 @@ def cheb_vandermonde(pts: PointSet, deg: int, normalized: bool = False) -> np.nd
     the columns orthonormal under the discrete inner product at first-kind
     Chebyshev points of degree ``deg`` in one dimension.
     """
-    return cheb_basis_values(pts.points, pts.box, deg, normalized=normalized)
+    V = cheb_basis_values(pts.points, pts.box, deg)
+    if normalized:
+        nonzero = np.count_nonzero(graded_lex_exponents(pts.n, deg), axis=1)
+        V *= np.sqrt(2.0 ** nonzero / (deg + 1) ** pts.n)
+    return V
 
 
 def approx_fekete_points(n: int, deg: int) -> PointSet:

@@ -155,6 +155,17 @@ def sequential_factors(monkeypatch):
 
 
 @pytest.fixture
+def singular_newton_matrix(monkeypatch):
+    """Zero barrier Hessians behind an identity Cholesky factor: the barrier
+    norms still work, and the first envelope Newton direction meets the
+    null-space matrix R = 0, whose Cholesky fails at its first pivot."""
+    monkeypatch.setattr(sp.wsos.BarrierEval, "hessian",
+                        property(lambda ev: np.zeros((ev.cone.U, ev.cone.U))))
+    monkeypatch.setattr(sp.wsos.BarrierEval, "hess_chol",
+                        property(lambda ev: np.eye(ev.cone.U)))
+
+
+@pytest.fixture
 def shifted_factor_iterate(monkeypatch):
     """Factory: the iterate at z's point with cone factor i's Hessian
     Cholesky taken shifted by HESS_SHIFT, its plain Cholesky forced to fail

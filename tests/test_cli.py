@@ -151,6 +151,20 @@ def test_envelope_solves_and_writes(tmp_path, capsys):
     assert min(trials) >= 1 and sum(trials) == sol["trials"]
 
 
+def test_numerical_failure_trace_has_the_failing_iteration(tmp_path, singular_newton_matrix):
+    # the first Newton direction fails; its iteration still gets a row
+    out = tmp_path / "sol.json"
+    trace = tmp_path / "trace.csv"
+    code = main(["envelope", "--n", "1", "--d", "5", "--out", str(out),
+                 "--trace", str(trace)])
+    assert code == 4
+    sol = read_json(out)
+    assert sol["status"] == "NumericalFailure"
+    lines = trace.read_text().strip().splitlines()
+    assert len(lines) == sol["iterations"] + 1 == 2
+    assert sum(int(line.rsplit(",", 1)[1]) for line in lines[1:]) == sol["trials"]
+
+
 def test_envelope_deterministic_output(tmp_path):
     outs = []
     for tag in ("a", "b"):

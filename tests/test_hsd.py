@@ -313,14 +313,7 @@ def test_only_identity_blocks_take_the_null_space_path(monkeypatch,
                 == [hsd._ReducedKKT] * 2)
 
 
-def test_singular_null_space_system_is_a_numerical_failure(monkeypatch):
-    # zero Hessians make R = 0; the barrier norms still work through an
-    # identity Cholesky factor, so the first Newton direction meets R, whose
-    # Cholesky fails at its first pivot
-    monkeypatch.setattr(wsos.BarrierEval, "hessian",
-                        property(lambda ev: np.zeros((ev.cone.U, ev.cone.U))))
-    monkeypatch.setattr(wsos.BarrierEval, "hess_chol",
-                        property(lambda ev: np.eye(ev.cone.U)))
+def test_singular_null_space_system_is_a_numerical_failure(singular_newton_matrix):
     r = sp.solve(small_problem())
     assert r.status == hsd.NUMERICAL_FAILURE
     assert "Cholesky of the null-space Newton matrix failed at pivot 1" in r.message
@@ -687,6 +680,67 @@ def test_repeated_corrector_misses_end_solve(monkeypatch):
     assert r.iterations == hsd.MAX_STALLS
     assert [rec.stalled for rec in r.trace] == [True] * hsd.MAX_STALLS
     assert "corrector failed to reach N(eta)" in r.message
+
+
+def _solve_to_exit(case, request, monkeypatch):
+    """The solve that ends at the named exit of the solve loop."""
+    fixture = request.getfixturevalue
+    if case == "optimal":
+        return fixture("envelope_small").result
+    if case == "primal_infeasible":
+        return fixture("contradictory_rows_solved").result
+    if case == "dual_infeasible":
+        return sp.solve(fixture("dual_infeasible_problem"))
+    if case == "predictor_stall":
+        return sp.solve(fixture("perturbed_rows_problem")(1e-2))
+    if case == "iteration_limit":
+        return sp.solve(sp.build_envelope(1, 6, 2, seed=4).problem, SolverParams(max_iters=2))
+    if case == "singular_newton_matrix":
+        fixture("singular_newton_matrix")
+        return sp.solve(small_problem())
+    phase = hsd.corrector_phase
+    calls = []
+
+    def corrector(problem, z):
+        calls.append(z)
+        if case == "corrector_misses":
+            return z, 0, 0
+        if len(calls) == 3:
+            raise hsd.SolverError("forced corrector failure")
+        return phase(problem, z)
+
+    monkeypatch.setattr(hsd, "corrector_phase", corrector)
+    return sp.solve(sp.build_envelope(1, 5, 2, seed=1).problem)
+
+
+@pytest.mark.parametrize("case, status", [
+    ("optimal", hsd.OPTIMAL),
+    ("primal_infeasible", hsd.PRIMAL_INFEASIBLE),
+    ("dual_infeasible", hsd.DUAL_INFEASIBLE),
+    ("predictor_stall", hsd.NUMERICAL_FAILURE),
+    ("corrector_misses", hsd.NUMERICAL_FAILURE),
+    ("iteration_limit", hsd.ITERATION_LIMIT),
+    ("singular_newton_matrix", hsd.NUMERICAL_FAILURE),
+    ("corrector_error", hsd.NUMERICAL_FAILURE),
+])
+def test_every_exit_records_each_iteration(request, monkeypatch, case, status):
+    # one record per reported iteration, whichever way the solve ends; the
+    # last one describes the iterate the result reports, and the trials of
+    # every search, a failing one included, add up to the total
+    r = _solve_to_exit(case, request, monkeypatch)
+    assert r.status == status
+    assert len(r.trace) == r.iterations >= 1
+    assert [rec.iteration for rec in r.trace] == list(range(r.iterations))
+    assert r.trials == sum(rec.trials for rec in r.trace)
+    # only the singular system fails before its search tries a step
+    searched = r.trace[:-1] if case == "singular_newton_matrix" else r.trace
+    assert all(rec.trials >= 1 for rec in searched)
+    last = r.trace[-1]
+    assert (last.mu, last.nbhd_norm) == (r.final.mu, r.final.nbhd_norm)
+    if case == "corrector_error":
+        assert r.message == "forced corrector failure"
+        assert r.iterations == 3 and last.stalled and last.trials >= 1
+        assert last.corrector_steps == 0 and last.alpha_p > 0
 
 
 def test_hessian_jitter_is_counted_and_reported(monkeypatch, sequential_factors):
