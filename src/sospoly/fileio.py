@@ -192,7 +192,6 @@ def solution_to_dict(result: SolveResult) -> dict:
             "gap": result.rel_gap,
         },
         "iterations": result.iterations,
-        "jittered_iterates": result.jittered_iterates,
         "trials": result.trials,
         "message": result.message,
     }

@@ -207,7 +207,6 @@ class SolveResult:
     final: Iterate = None
     trace: list = field(default_factory=list)
     message: str = ""
-    jittered_iterates: int = 0  # accepted iterates whose Hessian Cholesky needed jitter
     trials: int = 0             # predictor trials over all iterations
 
 
@@ -625,11 +624,10 @@ def predictor_step(problem, z: Iterate, alpha_init=None,
 def corrector_phase(problem, z: Iterate):
     """Re-center with up to R_C corrector steps; early exit once inside N(ETA).
 
-    Returns the last iterate, the number of steps taken and how many of the
-    iterates stepped to needed Hessian jitter; the last iterate is outside
-    N(ETA) when R_C steps did not suffice.
+    Returns the last iterate and the number of steps taken; the last
+    iterate is outside N(ETA) when R_C steps did not suffice.
     """
-    steps = jittered = 0
+    steps = 0
     while steps < R_C and not z.in_neighborhood(ETA):
         d = newton_direction(problem, z, "corrector")
         alpha = ALPHA_C
@@ -641,8 +639,7 @@ def corrector_phase(problem, z: Iterate):
             trial = try_make_iterate(problem, *_stepped(z, d, alpha))
         z = trial
         steps += 1
-        jittered += z.barrier.jittered
-    return z, steps, jittered
+    return z, steps
 
 
 def _residuals(problem, z: Iterate):
@@ -673,13 +670,10 @@ def classify(problem, z: Iterate, params: SolverParams):
     return None
 
 
-def _result_from(problem, z: Iterate, status, trace, jittered, message=""):
+def _result_from(problem, z: Iterate, status, trace, message=""):
     """The SolveResult at z: one iteration per trace record, trials summed over them."""
     rel_p, rel_d, rel_gap = _residuals(problem, z)
     scale = z.tau if (status == OPTIMAL and z.tau > 0) else 1.0
-    if jittered:
-        note = f"Hessian jitter at {jittered} accepted iterate(s)"
-        message = f"{message}; {note}" if message else note
     return SolveResult(
         status=status,
         primal_objective=float(problem.c @ z.x) / z.tau if z.tau > 0 else math.nan,
@@ -694,7 +688,6 @@ def _result_from(problem, z: Iterate, status, trace, jittered, message=""):
         final=z,
         trace=trace,
         message=message,
-        jittered_iterates=jittered,
         trials=sum(rec.trials for rec in trace),
     )
 
@@ -715,7 +708,6 @@ def solve(problem: ConicProblem, params: SolverParams | None = None) -> SolveRes
 
     message = ""
     misses = 0
-    jittered = int(z.barrier.jittered)
     last_alpha = None
     while (status := classify(problem, z, params)) is None:
         if len(trace) == params.max_iters:
@@ -733,7 +725,6 @@ def solve(problem: ConicProblem, params: SolverParams | None = None) -> SolveRes
                 message = f"predictor stalled: no acceptable step above {ALPHA_MIN:g}"
                 break
             z = outcome.iterate
-            jittered += z.barrier.jittered
             last_alpha = rec.alpha_p = outcome.alpha
             rec.mu, rec.nbhd_norm = z.mu, z.nbhd_norm
             rec.residual_after = embedding_residual_norm(problem, z)
@@ -742,8 +733,7 @@ def solve(problem: ConicProblem, params: SolverParams | None = None) -> SolveRes
                 rec.stalled = rec.corrected = False
                 break
             # a miss continues from the last corrector iterate
-            z, rec.corrector_steps, c_jittered = corrector_phase(problem, z)
-            jittered += c_jittered
+            z, rec.corrector_steps = corrector_phase(problem, z)
             rec.mu, rec.nbhd_norm = z.mu, z.nbhd_norm
             rec.stalled = not z.in_neighborhood(ETA)
             misses = misses + 1 if rec.stalled else 0
@@ -755,4 +745,4 @@ def solve(problem: ConicProblem, params: SolverParams | None = None) -> SolveRes
         except SolverError as exc:
             status, message = NUMERICAL_FAILURE, str(exc)
             break
-    return _result_from(problem, z, status, trace, jittered, message)
+    return _result_from(problem, z, status, trace, message)

@@ -8,8 +8,10 @@ Given an interior point x of the dual cone and a vector s in the primal
 satisfy sum_i Lambda_i^*(S_i) = s identically, and are positive definite
 whenever ||H(x)^{-1/2}(s + delta g(x))|| < delta for some delta > 0 -- a
 condition every neighborhood iterate of the solver meets with delta = mu(z).
-Explicit decompositions into weighted squares follow from eigendecomposing
-each S_i.
+The solve goes through the barrier's Hessian H + eps I (``wsos.HESS_SHIFT``),
+so the recovered blocks reproduce s - eps u, u the solve's result: eps is
+at the scale of the rounding in H itself. Explicit decompositions into
+weighted squares follow from eigendecomposing each S_i.
 
 Verification recomputes the adjoint identity in working precision with one
 gemm per block, and bounds the rounding of that evaluation at every point by
@@ -86,10 +88,15 @@ def recover_gram(cone: InterpWSOSCone, x, s, delta, barrier=None) -> GramCertifi
     that choice. ``barrier`` may pass a cached evaluation at x to reuse its
     factorizations.
     """
-    x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
+    return _certificate(cone, _gram_blocks(cone, x, s, delta, barrier), s, delta)
+
+
+def _gram_blocks(cone: InterpWSOSCone, x, s: np.ndarray, delta, barrier) -> list:
+    """The Gram blocks S_i of ``recover_gram``, without their certificate report."""
     if barrier is None:
-        barrier = cone.barrier(x)  # raises NotInteriorError outside the cone
+        # raises NotInteriorError outside the cone
+        barrier = cone.barrier(np.asarray(x, dtype=float))
 
     # Split S_i = delta Lambda_i(x)^{-1} + Lambda_i^{-1} Lambda_i(u) Lambda_i^{-1}
     # with u = H(x)^{-1} psi and psi = s + delta g(x). Equivalent to the direct
@@ -106,7 +113,7 @@ def recover_gram(cone: InterpWSOSCone, x, s, delta, barrier=None) -> GramCertifi
         corr = scipy.linalg.cho_solve((L, True), half.T, check_finite=False)
         S = delta * (lam_inv_half.T @ lam_inv_half) + 0.5 * (corr + corr.T)
         grams.append(0.5 * (S + S.T))
-    return _certificate(cone, grams, s, delta)
+    return grams
 
 
 def _certificate(cone: InterpWSOSCone, grams, s, delta) -> GramCertificate:
@@ -142,8 +149,7 @@ def lower_bound_certificate(cone: InterpWSOSCone, iterate, c, lb,
     q = cone.blocks[-1].T @ ones
     if np.max(np.abs(cone.blocks[-1] @ q - ones)) > 1e-10:
         raise ValueError("final block does not span the constant polynomial")
-    cert = recover_gram(cone, z.x, z.s, z.mu, barrier=barrier)
-    grams = [S / z.tau for S in cert.grams]
+    grams = [S / z.tau for S in _gram_blocks(cone, z.x, z.s, z.mu, barrier)]
     grams[-1] = grams[-1] + shift * np.outer(q, q)
     s_cert = np.asarray(c, dtype=float) - lb
     return _certificate(cone, grams, s_cert, z.mu / z.tau**2), s_cert

@@ -9,7 +9,9 @@ Ptilde_i, so weighted and unweighted blocks share one code path:
     Lambda_i(x) = Ptilde_i^T diag(x) Ptilde_i.
 
 The barrier is F(x) = -sum_i ln det Lambda_i(x) with parameter nu = sum_i L_i.
-Gradient and Hessian cost O(sum_i L_i U^2) per evaluation.
+Gradient and Hessian cost O(sum_i L_i U^2) per evaluation. The Hessian the
+oracle hands out, factors and applies is the one matrix H + eps I, with
+eps = HESS_SHIFT * mean(diag H): the formed sum H is PSD only up to rounding.
 """
 
 from __future__ import annotations
@@ -109,7 +111,8 @@ class InterpWSOSCone:
 
         Computes the value and each block's V = L^{-1} Ptilde^T from the
         Cholesky factor L of Lambda(x); the gradient -sum diag(V^T V) and
-        the Hessian sum (V^T V)∘(V^T V) are formed from them when first read.
+        the Hessian sum (V^T V)∘(V^T V) + eps I are formed from them when
+        first read.
         V is the transpose of the right-side triangular solve
         V^T = Ptilde L^{-T} (BLAS dtrsm on the U x L block as stored): the
         same substitution as solving L V = Ptilde^T, at about half the time.
@@ -126,8 +129,8 @@ class InterpWSOSCone:
         return BarrierEval(self, x, value, lam_chols, halves)
 
 
-# relative diagonal shift (times the mean diagonal of H) that hess_chol
-# retries with when the plain Cholesky of the Hessian fails
+# relative diagonal shift (times the mean diagonal of H) that the barrier
+# adds to every Hessian it forms
 HESS_SHIFT = 1e-14
 # the screen bound's allowance, per unit of diag H, for the rounding of the
 # formed Hessian: its entries err by about eps * sqrt(H_jj H_kk) with signs
@@ -154,19 +157,21 @@ class BarrierEval:
     _gradient: np.ndarray = None
     _hessian: np.ndarray = None
     _hess_chol: np.ndarray = None
-    # relative diagonal shift that hess_chol applied: 0.0 for a plain
-    # Cholesky, HESS_SHIFT for the shifted one, None until hess_chol has run
-    hess_jitter: float | None = None
 
     def _form_derivatives(self):
-        grad = np.zeros(self.cone.U)
-        hess = np.zeros((self.cone.U, self.cone.U))
+        U = self.cone.U
+        grad = np.zeros(U)
+        hess = np.zeros((U, U))
         Q = np.empty_like(hess)  # the one U x U temporary, reused per block
         for V in self._halves:
             np.matmul(V.T, V, out=Q)  # Ptilde Lambda(x)^{-1} Ptilde^T
             grad -= np.diag(Q)
             np.multiply(Q, Q, out=Q)
             hess += Q
+        # the accumulated sum is PSD only up to round-off and can miss
+        # positive definiteness at late iterates; one shift at the scale of
+        # that rounding makes the Hessian every caller reads H + eps I
+        hess.flat[::U + 1] += HESS_SHIFT * float(np.mean(np.diag(hess)))
         self._gradient, self._hessian = grad, hess
 
     @property
@@ -184,20 +189,10 @@ class BarrierEval:
     @property
     def hess_chol(self) -> np.ndarray:
         if self._hess_chol is None:
-            H = self.hessian
             try:
-                self._hess_chol = np.linalg.cholesky(H)
-                self.hess_jitter = 0.0
+                self._hess_chol = np.linalg.cholesky(self.hessian)
             except np.linalg.LinAlgError:
-                # H is PSD up to round-off but its accumulated entries can
-                # miss positive definiteness marginally at late iterates;
-                # shift once at the scale of that rounding noise
-                shift = HESS_SHIFT * float(np.mean(np.diag(H)))
-                try:
-                    self._hess_chol = np.linalg.cholesky(H + shift * np.eye(H.shape[0]))
-                except np.linalg.LinAlgError:
-                    raise NotInteriorError("barrier Hessian not positive definite") from None
-                self.hess_jitter = HESS_SHIFT
+                raise NotInteriorError("barrier Hessian not positive definite") from None
         return self._hess_chol
 
     def hess_apply(self, v: np.ndarray) -> np.ndarray:
@@ -236,9 +231,9 @@ class BarrierEval:
                                  reference: "BarrierEval") -> float:
         """Lower bound on psi^T (H + eps I)^{-1} psi, psi = s + mu g, without H.
 
-        Holds for the two factors ``hess_chol`` can make, eps = 0 and the
-        shift eps = HESS_SHIFT * mean(diag H) used below, and for no larger
-        eps. With D = eps I + HESS_ROUNDING * diag(H), any w gives
+        H + eps I, eps = HESS_SHIFT * mean(diag H), is the Hessian that
+        ``hessian`` forms and ``hess_chol`` factors. With
+        D = eps I + HESS_ROUNDING * diag(H), any w gives
 
             psi^T (H + eps I)^{-1} psi >= (w^T psi)^2 / w^T (H + D) w,
 
@@ -383,11 +378,6 @@ class ProductBarrierEval:
                 ev._hessian = ev._hessian.copy()
                 ev._hess_chol = ev._hess_chol.copy()
         return np.concatenate([psi for psi, _ in terms]), sum(q for _, q in terms)
-
-    @property
-    def jittered(self) -> bool:
-        """Whether a factor's Hessian Cholesky so far needed a diagonal shift."""
-        return any(e.hess_jitter for e in self.factor_evals)
 
 
 def as_product(cone) -> ProductCone:

@@ -79,9 +79,8 @@ def ray_search_finals():
     ray z + alpha d (adjustment right-hand side zero) to the largest step,
     without stopping at the first trial that meets the tolerance. Such a
     final step overshoots the tolerance, so the final iterates have
-    Hessians singular to working precision: envelope_small's factor 1
-    needs the Hessian shift, and the other factors factor plainly with
-    eigenvalues below it."""
+    Hessians singular to working precision, with eigenvalues of the
+    formed sum below the barrier's diagonal shift."""
     predictor_step = sp.hsd.predictor_step
 
     def zero_rhs(problem, z, d):
@@ -163,27 +162,6 @@ def singular_newton_matrix(monkeypatch):
                         property(lambda ev: np.zeros((ev.cone.U, ev.cone.U))))
     monkeypatch.setattr(sp.wsos.BarrierEval, "hess_chol",
                         property(lambda ev: np.eye(ev.cone.U)))
-
-
-@pytest.fixture
-def shifted_factor_iterate(monkeypatch):
-    """Factory: the iterate at z's point with cone factor i's Hessian
-    Cholesky taken shifted by HESS_SHIFT, its plain Cholesky forced to fail
-    as it does where a Hessian is singular to working precision."""
-    def make(problem, z, i):
-        barrier = problem.cone.barrier(z.x)
-        H = barrier.factor_evals[i].hessian
-        cholesky = np.linalg.cholesky
-
-        def fail_on_hessian(a):
-            if a is H:
-                raise np.linalg.LinAlgError("forced")
-            return cholesky(a)
-
-        with monkeypatch.context() as m:
-            m.setattr(np.linalg, "cholesky", fail_on_hessian)
-            return sp.hsd.make_iterate(problem, z.x, z.tau, z.y, z.s, z.kappa, barrier)
-    return make
 
 
 @pytest.fixture

@@ -185,8 +185,10 @@ def test_direction_residual_contradictory_rows(contradictory_rows_solved):
 def test_every_direction_correction_is_evaluated(monkeypatch):
     # each reduced solve after the first is a correction whose residual is
     # then evaluated; this solve has directions that use all five
-    # evaluations, after which no further correction may be computed
-    problem = sp.build_envelope(1, 6, 2, seed=3).problem
+    # evaluations, after which no further correction may be computed. The
+    # input is the first seed s = 1, 2, ... of build_envelope(1, 6, 2, seed=s)
+    # whose solve has such a direction.
+    problem = sp.build_envelope(1, 6, 2, seed=1).problem
     assert problem.identity_blocks  # the envelope takes the null-space path
     counts = []  # [reduced solves, residual evaluations] per direction
     solve = hsd._ReducedKKT.solve
@@ -429,27 +431,24 @@ def _predict(problem, z, monkeypatch, screen):
 
 @pytest.mark.parametrize("late", [False, True])
 def test_predictor_screen_changes_no_step(envelope_small, envelope_small_k3,
-                                          shifted_factor_iterate, monkeypatch, late):
+                                          monkeypatch, late):
     # the same step and bit-identical iterate with the screen as with a
-    # screen that never rejects, early and at the last iterate with a
-    # jittered Hessian Cholesky, for k = 2 and k = 3 cone factors; a trial
-    # rejected at an early factor never evaluates the later factors'
-    # barriers. Early is the iterate after one iteration: from the start,
-    # k = 2 rejects its trials at the last factor only. The last iterates
-    # factor every Hessian plainly, so one factor of each (1 for k = 2, 0
-    # for k = 3, as in the screen-bound tests) is given the shifted factor.
-    for k, inst, shifted in ((2, envelope_small, 1), (3, envelope_small_k3, 0)):
+    # screen that never rejects, early and at the last iterate, for k = 2
+    # and k = 3 cone factors; a trial rejected at an early factor never
+    # evaluates the later factors' barriers. Early is the iterate after one
+    # iteration: from the start, k = 2 rejects its trials at the last
+    # factor only.
+    for k, inst in ((2, envelope_small), (3, envelope_small_k3)):
         problem = inst.built.problem
         assert len(problem.cone.factors) == k
-        if late:
-            z = shifted_factor_iterate(problem, inst.result.final, shifted)
-        else:
-            z = _iterate_after(problem, 1)
-        assert z.barrier.jittered == late
+        z = inst.result.final if late else _iterate_after(problem, 1)
         screened, verdicts, evaluated = _predict(problem, z, monkeypatch, screen=True)
         plain, _, evaluated_plain = _predict(problem, z, monkeypatch, screen=False)
-        assert late or any(verdicts)  # early the screen does reject
-        assert evaluated < evaluated_plain
+        assert any(verdicts)  # the screen does reject, early and late
+        # a rejection at an early factor spares the later factors' barriers;
+        # k = 3's one rejection from its last iterate falls at the last
+        # factor, which spares none
+        assert evaluated < evaluated_plain or (late and k == 3)
         assert screened.alpha == plain.alpha and screened.stalled == plain.stalled
         for key in ("x", "y", "s"):
             assert np.array_equal(getattr(screened.iterate, key),
@@ -551,7 +550,7 @@ def test_trials_are_counted_per_iteration(envelope_small):
 def test_corrector_noop_inside_eta():
     problem = small_problem()
     z0 = initial_point(problem)           # exactly centered
-    z, steps, _ = corrector_phase(problem, z0)
+    z, steps = corrector_phase(problem, z0)
     assert steps == 0 and z is z0
 
 
@@ -564,7 +563,7 @@ def test_corrector_recenters_within_r_c():
         zp = out.iterate
         if not zp.in_neighborhood(hsd.ETA):
             seen_recenter = True
-            z2, steps, _ = corrector_phase(problem, zp)
+            z2, steps = corrector_phase(problem, zp)
             assert 1 <= steps <= hsd.R_C
             assert z2.in_neighborhood(hsd.ETA)
             # mu moves only modestly during correction
@@ -646,7 +645,7 @@ def test_corrector_miss_is_marked_stalled(perturbed_rows_problem, monkeypatch):
 
     def skip_sixth(problem, z):
         calls.append(1)
-        return (z, 0, 0) if len(calls) == 6 else phase(problem, z)
+        return (z, 0) if len(calls) == 6 else phase(problem, z)
 
     monkeypatch.setattr(hsd, "corrector_phase", skip_sixth)
     r = sp.solve(perturbed_rows_problem(0.0))
@@ -674,7 +673,7 @@ def test_predictor_stall_ends_solve(monkeypatch):
 def test_repeated_corrector_misses_end_solve(monkeypatch):
     # skipping the corrector leaves each predictor iterate outside N(eta)
     problem = small_problem()
-    monkeypatch.setattr(hsd, "corrector_phase", lambda problem, z: (z, 0, 0))
+    monkeypatch.setattr(hsd, "corrector_phase", lambda problem, z: (z, 0))
     r = sp.solve(problem)
     assert r.status == hsd.NUMERICAL_FAILURE
     assert r.iterations == hsd.MAX_STALLS
@@ -691,25 +690,32 @@ def _solve_to_exit(case, request, monkeypatch):
         return fixture("contradictory_rows_solved").result
     if case == "dual_infeasible":
         return sp.solve(fixture("dual_infeasible_problem"))
-    if case == "predictor_stall":
-        return sp.solve(fixture("perturbed_rows_problem")(1e-2))
     if case == "iteration_limit":
         return sp.solve(sp.build_envelope(1, 6, 2, seed=4).problem, SolverParams(max_iters=2))
     if case == "singular_newton_matrix":
         fixture("singular_newton_matrix")
         return sp.solve(small_problem())
-    phase = hsd.corrector_phase
+    phase, search = hsd.corrector_phase, hsd.predictor_step
     calls = []
 
     def corrector(problem, z):
         calls.append(z)
         if case == "corrector_misses":
-            return z, 0, 0
+            return z, 0
         if len(calls) == 3:
             raise hsd.SolverError("forced corrector failure")
         return phase(problem, z)
 
-    monkeypatch.setattr(hsd, "corrector_phase", corrector)
+    def predictor(problem, z, alpha_init=None, params=None):
+        # the third search runs in full and then reports a stall
+        out = search(problem, z, alpha_init, params)
+        calls.append(z)
+        return hsd.PredictorOutcome(z, 0.0, True, out.trials) if len(calls) == 3 else out
+
+    if case == "predictor_stall":
+        monkeypatch.setattr(hsd, "predictor_step", predictor)
+    else:
+        monkeypatch.setattr(hsd, "corrector_phase", corrector)
     return sp.solve(sp.build_envelope(1, 5, 2, seed=1).problem)
 
 
@@ -737,36 +743,12 @@ def test_every_exit_records_each_iteration(request, monkeypatch, case, status):
     assert all(rec.trials >= 1 for rec in searched)
     last = r.trace[-1]
     assert (last.mu, last.nbhd_norm) == (r.final.mu, r.final.nbhd_norm)
+    if case == "predictor_stall":
+        assert r.message.startswith("predictor stalled") and r.iterations == 3
     if case == "corrector_error":
         assert r.message == "forced corrector failure"
         assert r.iterations == 3 and last.stalled and last.trials >= 1
         assert last.corrector_steps == 0 and last.alpha_p > 0
-
-
-def test_hessian_jitter_is_counted_and_reported(monkeypatch, sequential_factors):
-    problem = small_problem()
-    clean = sp.solve(problem)
-    assert clean.status == hsd.OPTIMAL
-
-    # fail the first Hessian Cholesky, the start point's, once
-    U = problem.cone.factors[0].U
-    cholesky = np.linalg.cholesky
-    failed = []
-
-    def fail_first_hessian(a):
-        if a.shape == (U, U) and not failed:
-            failed.append(True)
-            raise np.linalg.LinAlgError("forced")
-        return cholesky(a)
-
-    monkeypatch.setattr(np.linalg, "cholesky", fail_first_hessian)
-    r = sp.solve(problem)
-    assert failed
-    assert r.status == hsd.OPTIMAL
-    count = clean.jittered_iterates + 1
-    assert r.jittered_iterates == count
-    assert r.message == f"Hessian jitter at {count} accepted iterate(s)"
-    assert fileio.solution_to_dict(r)["jittered_iterates"] == count
 
 
 def test_dual_infeasible_detection(dual_infeasible_problem):
@@ -794,10 +776,12 @@ def test_nearly_infeasible_rows_are_primal_infeasible(perturbed_rows_problem, ep
 
 def test_nearly_infeasible_rows_at_1e_2_fail_numerically(perturbed_rows_problem):
     # ||x||_1 >= 1e8 is needed; neither optimality nor infeasibility is
-    # reached before the predictor stalls, and the status says so
+    # reached before the corrector misses N(eta) MAX_STALLS times in a row,
+    # and the status says so
     r = sp.solve(perturbed_rows_problem(1e-2))
     assert r.status == hsd.NUMERICAL_FAILURE
-    assert r.message.startswith("predictor stalled")
+    assert r.message == ("corrector failed to reach N(eta) in 4 steps "
+                         "(norm 3.666e-17 vs 7.422e-18)")
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])

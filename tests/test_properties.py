@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import sospoly as sp
-from sospoly import fileio, hsd, wsos
+from sospoly import fileio, hsd
 from sospoly.hsd import initial_point
 from sospoly.recovery import (
     PIVOT_TOL,
@@ -106,18 +106,15 @@ def screen_cases(draw):
 
 @given(screen_cases())
 def test_screen_bound_below_every_jittered_norm(case):
-    # the predictor's screen may reject only what the full norm rejects,
-    # with or without the one diagonal shift the Hessian Cholesky may add
+    # the predictor's screen may reject only what the full norm, taken with
+    # the barrier's one Hessian H + eps I, rejects
     cone, x, ref, psi, mu = case
     full = cone.barrier(x)
     s = psi - mu * full.gradient
     psi = s + mu * full.gradient
     bound = cone.barrier(x).inv_quadform_lower_bound(s, mu, cone.barrier(ref))
-    H = full.hessian
-    scale = np.mean(np.diag(H))
-    for eps in (0.0, wsos.HESS_SHIFT):
-        half = np.linalg.solve(np.linalg.cholesky(H + eps * scale * np.eye(cone.U)), psi)
-        assert bound <= (1.0 + 1e-9) * float(half @ half)
+    half = np.linalg.solve(np.linalg.cholesky(full.hessian), psi)
+    assert bound <= (1.0 + 1e-9) * float(half @ half)
 
 
 @given(screen_cases())
@@ -277,17 +274,17 @@ maybe_non_finite = st.one_of(finite, st.sampled_from([math.nan, math.inf, -math.
        maybe_non_finite, maybe_non_finite, st.integers(0, 500), st.integers(0, 500),
        st.text(max_size=40), vector(N), vector(K), vector(N))
 def test_solution_json_round_trip(tmp_path_factory, status, pobj, gap, iters,
-                                  jittered, message, x, y, s):
+                                  trials, message, x, y, s):
     result = sp.SolveResult(status=status, primal_objective=pobj, rel_gap=gap,
                             iterations=iters, x=x, y=y, s=s, final=START,
-                            message=message, jittered_iterates=jittered)
+                            message=message, trials=trials)
     path = tmp_path_factory.mktemp("solution") / "sol.json"
     fileio.dump_json(str(path), fileio.solution_to_dict(result))
     with open(path) as fh:  # strict JSON: no NaN or Infinity tokens
         json.load(fh, parse_constant=lambda name: pytest.fail(f"wrote {name}"))
     data = fileio.load_solution(str(path))
-    assert (data["status"], data["iterations"], data["jittered_iterates"],
-            data["message"]) == (status, iters, jittered, message)
+    assert (data["status"], data["iterations"], data["trials"],
+            data["message"]) == (status, iters, trials, message)
     # a non-finite float is written as null
     expected = [v if math.isfinite(v) else None for v in (pobj, math.nan, gap)]
     assert [data["primal_objective"], data["dual_objective"],

@@ -249,6 +249,24 @@ def test_adjoint_within_its_bound_of_the_exact_sum(envelope_small, envelope_1d_1
         assert np.all(np.abs(got - want) + np.spacing(np.abs(want)) <= bound)
 
 
+@pytest.mark.parametrize("seed", [1, 8])
+def test_random_n1_envelope_certificates_verify(seed):
+    # instance 0 of the envelope benchmark's n = 1, d = 100 draw at these
+    # seeds: two inputs of degree 5 with iid uniform [-1, 1] Chebyshev
+    # coefficients from default_rng([seed, 0]). Their final iterates' Hessians
+    # are singular to working precision; taken through the unshifted sum's
+    # Cholesky factor, one Gram certificate of each fails verify_certificate
+    rng = np.random.default_rng([seed, 0])
+    fs = [sp.chebyshev_poly(1, 5, rng.uniform(-1.0, 1.0, 6)) for _ in range(2)]
+    built = sp.build_envelope(1, 100, 2, fs=fs)
+    r = sp.solve(built.problem, sp.SolverParams(tol_gap=1e-8, tol_infeas=1e-8))
+    assert r.status == "Optimal"
+    z, cone = r.final, built.cone
+    for factor, ev, sl in zip(cone.factors, z.barrier.factor_evals, cone.slices()):
+        cert = recover_gram(factor, z.x[sl], z.s[sl], z.mu, barrier=ev)
+        assert verify_certificate(factor, z.s[sl], cert).passed
+
+
 def test_verify_fails_when_the_rounding_bound_exceeds_tol():
     # two nearly parallel basis columns and a PSD Gram matrix whose 1e18
     # entries cancel in the adjoint to values below 1: s is the computed

@@ -1,5 +1,6 @@
 """Cone construction, Lambda operators, and the log-det barrier oracle."""
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -228,20 +229,15 @@ def test_hess_inv_apply_roundtrip_and_dense():
     assert np.linalg.norm(ev1.hess_inv_apply(rhs) - dense) <= 1e-8 * np.linalg.norm(dense)
 
 
-def test_hess_inv_apply_is_the_lower_factor_solve(envelope_small_k3, envelope_1d_100,
-                                                  shifted_factor_iterate):
+def test_hess_inv_apply_is_the_lower_factor_solve(envelope_small_k3, envelope_1d_100):
     # the factor goes to LAPACK as its upper transpose; the solve is bit for
     # bit the one with the lower factor, at random points and at the final
-    # iterates of solves (U = 11 and 201), as they are and with factor 0
-    # given the jittered, shifted factor
+    # iterates of solves (U = 11 and 201)
     rng = np.random.default_rng(13)
     evals = [cone.barrier(np.ones(cone.U) + 0.3 * rng.uniform(-1, 1, cone.U))
              for cone in (unweighted_cone(1, 6), boxed_cone(1, 5), boxed_cone(2, 3))]
     for inst in (envelope_small_k3, envelope_1d_100):
-        final = inst.result.final
-        evals += final.barrier.factor_evals
-        evals += shifted_factor_iterate(inst.built.problem, final, 0).barrier.factor_evals
-    assert any(ev.hess_jitter for ev in evals[3:])
+        evals += inst.result.final.barrier.factor_evals
     for ev in evals:
         for v in (rng.standard_normal(ev.cone.U), ev.gradient):
             lower = scipy.linalg.cho_solve((ev.hess_chol, True), v, check_finite=False)
@@ -264,34 +260,26 @@ def test_right_side_solve_matches_solve_triangular(U):
             assert np.linalg.norm(V - want) <= 1e-13 * np.linalg.norm(want)
 
 
-def test_hess_chol_records_jitter(monkeypatch, sequential_factors):
-    cone = unweighted_cone(1, 6)
+def test_hessian_is_shifted_once_and_factored_once(monkeypatch, sequential_factors):
+    # the one Hessian is sum_i Q_i∘Q_i, Q_i = V_i^T V_i, plus HESS_SHIFT
+    # times its mean diagonal on the diagonal, and its factor is of that matrix
+    cone = boxed_cone(1, 5)
     x = np.ones(cone.U) + 0.3 * np.random.default_rng(11).uniform(-1, 1, cone.U)
-    plain = cone.barrier(x)
-    assert plain.hess_jitter is None
-    plain.hess_chol
-    assert plain.hess_jitter == 0.0
-
     ev = cone.barrier(x)
-    cholesky = np.linalg.cholesky
-
-    def fail_on_hessian(a):
-        if a is ev.hessian:
-            raise np.linalg.LinAlgError("forced")
-        return cholesky(a)
-
-    monkeypatch.setattr(np.linalg, "cholesky", fail_on_hessian)
+    H = sum((V.T @ V) ** 2 for V in ev._halves)
+    shift = HESS_SHIFT * np.mean(np.diag(H))
+    assert HESS_SHIFT == 1e-14 and shift > 0
+    assert np.array_equal(ev.hessian, H + shift * np.eye(cone.U))
     L = ev.hess_chol
-    assert ev.hess_jitter == HESS_SHIFT == 1e-14
-    shift = 1e-14 * np.mean(np.diag(ev.hessian))
-    np.testing.assert_allclose(L @ L.T, ev.hessian + shift * np.eye(cone.U), rtol=1e-12)
+    np.testing.assert_allclose(L @ L.T, ev.hessian, rtol=1e-12, atol=0)
 
-    # when the shifted factor fails too there is no further rung: the point
-    # is not interior, and a trial iterate there comes out as None
+    # a failed Cholesky is not retried: the point is not interior, and a
+    # trial iterate there comes out as None
     problem = sp.build_envelope(1, 3, 2, seed=1).problem
     U = problem.cone.factors[0].U
     assert all(f.U == U and U not in f.dims for f in problem.cone.factors)
     z = initial_point(problem)
+    cholesky = np.linalg.cholesky
     calls = []
 
     def fail_on_hessians(a):
@@ -304,52 +292,61 @@ def test_hess_chol_records_jitter(monkeypatch, sequential_factors):
     ev = problem.cone.factors[0].barrier(z.x[:U])
     with pytest.raises(NotInteriorError, match="Hessian"):
         ev.hess_chol
-    assert len(calls) == 2 and ev.hess_jitter is None
+    assert len(calls) == 1
     assert try_make_iterate(problem, z.x, z.tau, z.y, z.s, z.kappa) is None
+    assert len(calls) == 2  # the first factor's one attempt stops the iterate
 
 
-def test_screen_bound_tight_at_jittered_iterates(ray_search_finals, shifted_factor_iterate):
-    # the screen's shift term is the one shift hess_chol can add, so at a
-    # final iterate, each factor whose Hessian Cholesky needed that shift
-    # has a bound, with its own evaluation as reference, that meets the
-    # exact norm (a factor factored without it stays below by the shift
-    # term); without the shift term the bound would pass the norm by more
-    # than the screen's 1e-6 rounding margin. The final iterates are the
-    # ray search's, where k = 2 shifts factor 1; the k = 3 one factors
-    # plainly, so its factor 0 is given the shifted factor.
-    for k in (2, 3):
-        problem, z = ray_search_finals[k]
-        if k == 3:
-            z = shifted_factor_iterate(problem, z, 0)
-        shifted = [(factor, ref, sl) for factor, ref, sl in zip(
-            problem.cone.factors, z.barrier.factor_evals, problem.cone.slices())
-            if ref.hess_jitter == HESS_SHIFT]
-        assert shifted
-        for factor, ref, sl in shifted:
-            bound = factor.barrier(z.x[sl]).inv_quadform_lower_bound(z.s[sl], z.mu, ref)
-            exact = ref.inv_quadform(z.s[sl] + z.mu * ref.gradient)
-            assert (1.0 - 1e-5) * exact <= bound <= (1.0 + 1e-6) * exact
+def _exact_inv_quadform(ev, psi, digits=60):
+    """psi^T (H + eps I)^{-1} psi in mpmath from ev's V blocks, H = sum_i Q_i∘Q_i
+    and eps = HESS_SHIFT * mean(diag H) taken exactly."""
+    with mpmath.workdps(digits):
+        H = None
+        for V in ev._halves:
+            Vm = mpmath.matrix(V.tolist())
+            Q = Vm.T * Vm
+            QQ = mpmath.matrix(Q.rows, Q.cols)
+            for i in range(Q.rows):
+                for j in range(Q.cols):
+                    QQ[i, j] = Q[i, j] ** 2
+            H = QQ if H is None else H + QQ
+        U = H.rows
+        eps = mpmath.mpf(HESS_SHIFT) * sum(H[i, i] for i in range(U)) / U
+        for i in range(U):
+            H[i, i] += eps
+        p = mpmath.matrix(psi.tolist())
+        return float((p.T * mpmath.lu_solve(H, p))[0])
 
 
-def test_screen_bound_below_the_shifted_norm_at_plain_near_singular_factors(
-        ray_search_finals):
-    # at the ray search's final iterates, factors whose Hessian factored
-    # plainly still have eigenvalues below the shift; there the bound for
-    # w = H^{-1} psi stays below the norm with the shift
-    count = 0
+@pytest.fixture(scope="module")
+def final_factor_screen_bounds(ray_search_finals):
+    """[(bound, exact)] for every cone factor at the ray search's final
+    iterates: the screen bound, with the factor's own evaluation as
+    reference, and the exact norm it bounds. There every factor's Hessian
+    is singular to working precision (cond near 1e15, where a double solve
+    is itself off by up to 1e-3), so the norm is taken exactly."""
+    pairs = []
     for k in (2, 3):
         problem, z = ray_search_finals[k]
         for factor, ref, sl in zip(problem.cone.factors, z.barrier.factor_evals,
                                    problem.cone.slices()):
-            if ref.hess_jitter != 0.0:
-                continue
             bound = factor.barrier(z.x[sl]).inv_quadform_lower_bound(z.s[sl], z.mu, ref)
-            H, psi = ref.hessian, z.s[sl] + z.mu * ref.gradient
-            shift = HESS_SHIFT * np.mean(np.diag(H))
-            half = np.linalg.solve(np.linalg.cholesky(H + shift * np.eye(factor.U)), psi)
-            assert bound <= (1.0 + 1e-9) * float(half @ half)
-            count += 1
-    assert count == 4
+            pairs.append((bound, _exact_inv_quadform(ref, z.s[sl] + z.mu * ref.gradient)))
+    assert len(pairs) == 5
+    return pairs
+
+
+def test_screen_bound_below_the_exact_norm_at_every_final_factor(
+        final_factor_screen_bounds):
+    for bound, exact in final_factor_screen_bounds:
+        assert bound <= (1.0 + 1e-9) * exact
+
+
+def test_screen_bound_tight_at_every_final_factor(final_factor_screen_bounds):
+    # the screen's shift term is the shift the Hessian carries, so the bound
+    # comes within 1e-3 of the norm even where the Hessian is singular
+    for bound, exact in final_factor_screen_bounds:
+        assert bound >= 0.999 * exact
 
 
 def test_conditioning_bound():
