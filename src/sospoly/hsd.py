@@ -20,7 +20,8 @@ mu (H dx - nabla^3 F(x)[dx, dx] / 2) and mu (dtau / tau^2 + dtau^2 / tau^3),
 the second-order term of the central path through z. Each trial sits at
 z + alpha d + alpha^2 d_adj, so the linear residual still shrinks to
 (1 - alpha) r(z), and the arc bends along the path where the ray leaves the
-neighborhood. The search ends at the first accepted trial that meets the
+neighborhood. The search takes the first accepted step of a fixed
+descending schedule, and walks down it while shorter trials still meet the
 stopping rule (``classify``), so the last step stops near the tolerance
 instead of overshooting it.
 """
@@ -47,13 +48,13 @@ ETA = 0.0305
 BETA = 0.2387
 ALPHA_C = 1.0
 R_C = 4
-# predictor line search: start, expansion factor, cap and floor of the step,
-# bisection passes after bracketing
-ALPHA_START = 0.01
-EXPANSION = 2.0
-ALPHA_CAP = 0.9999
+# predictor search: its step lengths, longest first (Coey, Kapelevich and
+# Vielma, Math. Prog. Comp. 2023), then halvings of 0.1 down to the floor
+# ALPHA_MIN that the corrector's halvings share
 ALPHA_MIN = 1e-8
-REFINE_BISECTIONS = 3
+STEP_SCHEDULE = (0.9999, 0.999, 0.99, 0.97, 0.95, 0.9, 0.85, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3,
+                 0.2, 0.1) + tuple(0.1 / 2**k for k in range(1, 24))  # 0.1 / 2**23 > 1e-8
+ALPHA_CAP = STEP_SCHEDULE[0]
 # consecutive corrector phases ending outside N(ETA) before NumericalFailure
 MAX_STALLS = 3
 
@@ -558,22 +559,19 @@ class PredictorOutcome:
 
 def predictor_step(problem, z: Iterate, alpha_init=None,
                    params: SolverParams | None = None) -> PredictorOutcome:
-    """Expanding search for the largest step on the predictor arc inside N(BETA).
+    """The first step of STEP_SCHEDULE whose trial on the predictor arc lies in N(BETA).
 
-    Trials sit at z + alpha d + alpha^2 d_adj (``newton_direction``). The
-    search starts at ``alpha_init`` (ALPHA_START by default; the solve loop
-    passes the previously accepted step to save barrier evaluations),
-    multiplies by EXPANSION while the trial stays interior and inside the
-    beta-neighborhood (cap ALPHA_CAP), halves when even the start fails,
-    then sharpens the bracket with REFINE_BISECTIONS bisections. Once a
-    halving is accepted, the step rejected just before it closes the
-    bracket, so no step is tried twice. Each trial is screened against
-    N(BETA) before its barrier Hessian is formed (``try_make_iterate``),
-    which saves work and changes no step. With ``params``, the search ends
-    at the first accepted trial that ``classify`` gives a status: a longer
-    step would only push mu past the tolerance, toward Hessians singular to
-    working precision. A degenerate direction or no acceptable step above
-    ALPHA_MIN is reported as a stall; z is returned unchanged.
+    Trials sit at z + alpha d + alpha^2 d_adj (``newton_direction``) and
+    take the schedule's entries in order from two entries above
+    ``alpha_init``, the previously accepted step (from the first entry
+    without one). Each trial is screened against N(BETA) before its barrier
+    Hessian is formed (``try_make_iterate``), which changes no step. With
+    ``params``, an accepted trial that ``classify`` gives a status is
+    followed down the schedule while shorter trials are accepted and still
+    meet the stopping rule, and the last of them is returned: a longer step
+    would only push mu past the tolerance, toward Hessians singular to
+    working precision. A degenerate direction, or a rejection of the last
+    entry, is a stall; z is returned unchanged.
     """
     direction = newton_direction(problem, z, "predictor")
     if direction.norm() == 0.0:
@@ -591,34 +589,21 @@ def predictor_step(problem, z: Iterate, alpha_init=None,
     def stops(trial):
         return params is not None and classify(problem, trial, params) is not None
 
-    alpha = min(alpha_init or ALPHA_START, ALPHA_CAP)
-    hi = None
-    trial = accept(alpha)
-    while trial is None:
-        hi = alpha
-        alpha /= EXPANSION
-        if alpha < ALPHA_MIN:
-            return PredictorOutcome(z, 0.0, True, trials)
-        trial = accept(alpha)
-
-    # expand until a rejection brackets the step (or the cap is accepted),
-    # then bisect the bracket
-    lo, best = alpha, trial
-    bisections = 0
-    while not stops(best):
-        if hi is None and lo < ALPHA_CAP:
-            nxt = min(lo * EXPANSION, ALPHA_CAP)
-        elif hi is not None and bisections < REFINE_BISECTIONS:
-            nxt = 0.5 * (lo + hi)
-            bisections += 1
-        else:
+    above = 0 if alpha_init is None else sum(a > alpha_init for a in STEP_SCHEDULE)
+    steps = iter(STEP_SCHEDULE[max(above - 2, 0):])
+    for alpha in steps:
+        best = accept(alpha)
+        if best is not None:
             break
-        cand = accept(nxt)
-        if cand is None:
-            hi = nxt
-        else:
-            lo, best = nxt, cand
-    return PredictorOutcome(best, lo, False, trials)
+    else:
+        return PredictorOutcome(z, 0.0, True, trials)
+    if stops(best):
+        for shorter in steps:
+            trial = accept(shorter)
+            if trial is None or not stops(trial):
+                break
+            alpha, best = shorter, trial
+    return PredictorOutcome(best, alpha, False, trials)
 
 
 def corrector_phase(problem, z: Iterate):

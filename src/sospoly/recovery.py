@@ -32,12 +32,10 @@ import scipy.linalg
 from .wsos import InterpWSOSCone, diag_quadform
 
 # unit roundoff of IEEE double precision, the u of the standard model
-# fl(a op b) = (a op b)(1 + delta), |delta| <= u
+# fl(a op b) = (a op b)(1 + delta), |delta| <= u, and the smallest positive
+# subnormal, the absolute error an underflow may add
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
-# most negative LDL pivot a PSD Gram block may show, and the eigenvalue floor
-# below which sos_terms calls a block not PSD rather than round-off
-PIVOT_TOL = 1e-10
-EIG_CLIP = 1e-10
+SUBNORMAL_MIN = float(np.nextafter(0.0, 1.0))
 
 
 @dataclass
@@ -75,7 +73,7 @@ class VerificationReport:
     error_bound: float  # max_u beta_u, the rounding bound on the recomputed adjoint
     pointwise_residual: np.ndarray  # the computed r - s, without the bound
     block_psd: list
-    block_min_pivot: list
+    block_shift: list  # per block, the c of ``_psd_shift``
 
 
 def recover_gram(cone: InterpWSOSCone, x, s, delta, barrier=None) -> GramCertificate:
@@ -155,11 +153,20 @@ def lower_bound_certificate(cone: InterpWSOSCone, iterate, c, lb,
     return _certificate(cone, grams, s_cert, z.mu / z.tau**2), s_cert
 
 
-def _ldl_min_pivot(S: np.ndarray) -> tuple[bool, float]:
-    """PSD check via LDL: smallest eigenvalue of the 1x1/2x2 block-diagonal D."""
-    _, D, _ = scipy.linalg.ldl(S)
-    min_pivot = float(np.linalg.eigvalsh(D)[0])
-    return min_pivot >= -PIVOT_TOL, min_pivot
+def _psd_shift(S: np.ndarray) -> float:
+    """Rump's shift c (BIT 2006): a floating-point Cholesky of S - cI that
+    succeeds proves S positive definite.
+
+    A completed Cholesky R of fl(S - cI) has R^T R = fl(S - cI) + E with
+    ||E||_2 <= gamma_{L+1} / (1 - gamma_{L+1}) tr(S); c is twice that, to
+    cover the rounding of the shift and of c, plus an underflow term. The
+    diagonal enters by absolute value, so that c > 0 for any S.
+    """
+    L = S.shape[0]
+    gamma = (L + 1) * UNIT_ROUNDOFF / (1.0 - (L + 1) * UNIT_ROUNDOFF)
+    diag = np.abs(np.diag(S))
+    return (2.0 * gamma / (1.0 - gamma) * float(np.sum(diag))
+            + 4.0 * SUBNORMAL_MIN * (2 * (L + 1) + float(np.max(diag))))
 
 
 def _adjoint_with_bound(cone: InterpWSOSCone, grams) -> tuple[np.ndarray, np.ndarray]:
@@ -203,8 +210,9 @@ def verify_certificate(cone: InterpWSOSCone, s, cert: GramCertificate,
     ``adjoint_residual`` is the certified residual max_u(|r_u - s_u| +
     beta_u), an upper bound on the exact one; ``error_bound`` is max_u
     beta_u and ``pointwise_residual`` the computed r - s. The certificate
-    passes when every block is PSD by the smallest pivot of its LDL
-    factor and the certified residual is at most tol (1 + ||s||_inf),
+    passes when every block is verified positive definite (exactly
+    symmetric, with a Cholesky of S - cI that succeeds, c = ``_psd_shift(S)``)
+    and the certified residual is at most tol (1 + ||s||_inf),
     lowered by 6u for the roundings of that comparison, so that a pass
     means the exact adjoint identity holds to tol (1 + ||s||_inf). A tol
     whose limit is below the bound can never pass.
@@ -215,30 +223,33 @@ def verify_certificate(cone: InterpWSOSCone, s, cert: GramCertificate,
     recomputed, bound = _adjoint_with_bound(cone, cert.grams)
     pointwise = recomputed - s
     residual = float(np.max(np.abs(pointwise) + bound))
+    block_shift = [_psd_shift(S) for S in cert.grams]
     block_psd = []
-    block_min_pivot = []
-    for S in cert.grams:
-        ok, piv = _ldl_min_pivot(S)
-        block_psd.append(ok)
-        block_min_pivot.append(piv)
+    for S, c in zip(cert.grams, block_shift):
+        shifted = np.array(S, dtype=float, order="F")
+        shifted[np.diag_indices_from(shifted)] -= c
+        info = scipy.linalg.lapack.dpotrf(shifted, lower=1, overwrite_a=1, clean=0)[1]
+        block_psd.append(info == 0 and np.array_equal(S, S.T))
     limit = tol * (1.0 + float(np.max(np.abs(s)))) * (1.0 - 6.0 * UNIT_ROUNDOFF)
     passed = bool(all(block_psd) and residual <= limit)
     return VerificationReport(passed, residual, float(np.max(bound)), pointwise,
-                              block_psd, block_min_pivot)
+                              block_psd, block_shift)
 
 
 def sos_terms(cert: GramCertificate, cone: InterpWSOSCone) -> SosDecomposition:
     """Split each Gram matrix into explicit squared-polynomial coefficients.
 
-    Eigenvalues in [-EIG_CLIP, 0) are treated as round-off and clipped to
-    zero; anything below -EIG_CLIP means the block is genuinely not PSD.
+    Eigenvalues in [-c, 0), c = ``_psd_shift(S)`` (relative to the block's
+    trace), are treated as round-off and clipped to zero; anything below -c
+    means the block is genuinely not PSD.
     """
     terms = []
     for S in cert.grams:
         eigvals, eigvecs = np.linalg.eigh(S)
-        if eigvals[0] < -EIG_CLIP:
+        shift = _psd_shift(S)
+        if eigvals[0] < -shift:
             raise ValueError(
-                f"Gram block is not PSD (eigenvalue {eigvals[0]:.3e} < -{EIG_CLIP:.0e})"
+                f"Gram block is not PSD (eigenvalue {eigvals[0]:.3e} < -{shift:.3e})"
             )
         eigvals = np.clip(eigvals, 0.0, None)
         keep = eigvals > 0.0

@@ -164,8 +164,8 @@ class BarrierEval:
         hess = np.zeros((U, U))
         Q = np.empty_like(hess)  # the one U x U temporary, reused per block
         for V in self._halves:
+            grad -= np.einsum("ij,ij->j", V, V)  # as inv_quadform_lower_bound sums it
             np.matmul(V.T, V, out=Q)  # Ptilde Lambda(x)^{-1} Ptilde^T
-            grad -= np.diag(Q)
             np.multiply(Q, Q, out=Q)
             hess += Q
         # the accumulated sum is PSD only up to round-off and can miss
@@ -242,10 +242,10 @@ class BarrierEval:
         rounding in which the formed Hessian, whose factor gives the exact
         norm, differs from that blockwise form along w. The bound is taken
         for w = reference.hess_inv_apply(psi), tight when the reference
-        factor is close to H + eps I. g and diag H are taken as the column
-        sums -sum_i colsum(V_i∘V_i) and sum_i colsum(V_i∘V_i)^2, equal to
-        the formed ones up to rounding, so a caller comparing the bound with
-        a threshold needs a small relative margin.
+        factor is close to H + eps I. g is the formed gradient, the column
+        sums -sum_i colsum(V_i∘V_i); diag H is sum_i colsum(V_i∘V_i)^2, equal
+        to the formed one up to rounding, so a caller comparing the bound
+        with a threshold needs a small relative margin.
         """
         diag_q = [np.einsum("ij,ij->j", V, V) for V in self._halves]
         diag_h = sum(d * d for d in diag_q)

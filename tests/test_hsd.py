@@ -1,5 +1,7 @@
 """The homogeneous self-dual predictor-corrector solver."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -188,7 +190,7 @@ def test_every_direction_correction_is_evaluated(monkeypatch):
     # evaluations, after which no further correction may be computed. The
     # input is the first seed s = 1, 2, ... of build_envelope(1, 6, 2, seed=s)
     # whose solve has such a direction.
-    problem = sp.build_envelope(1, 6, 2, seed=1).problem
+    problem = sp.build_envelope(1, 6, 2, seed=2).problem
     assert problem.identity_blocks  # the envelope takes the null-space path
     counts = []  # [reduced solves, residual evaluations] per direction
     solve = hsd._ReducedKKT.solve
@@ -381,27 +383,72 @@ def test_predictor_zero_direction_stalls(monkeypatch):
     assert out.stalled and out.iterate is z0
 
 
-@pytest.mark.parametrize("alpha_init", [None, hsd.ALPHA_CAP])
-def test_predictor_never_tries_a_step_twice(monkeypatch, alpha_init):
-    # from the cap the first two trials leave N(beta), so the search halves
-    # twice; the step rejected before the accepted halving must not be
-    # tried again. From the start the cap's halving is accepted, so the
-    # search steps from the iterate after one iteration.
+def test_step_schedule_descends_from_the_cap_to_the_floor():
+    schedule = hsd.STEP_SCHEDULE
+    assert len(schedule) >= 1 and schedule[0] == hsd.ALPHA_CAP
+    assert all(a > b for a, b in zip(schedule, schedule[1:]))
+    assert schedule[-1] >= hsd.ALPHA_MIN > schedule[-1] / 2
+
+
+def _scheduled_search(monkeypatch, accepts, alpha_init=None, meets=lambda a: False):
+    """predictor_step from small_problem's start, with every trial at step a
+    accepted when accepts(a) and meeting the stopping rule when meets(a);
+    the steps tried and the outcome."""
     problem = small_problem()
-    z0 = _iterate_after(problem, 1)
     tried = []
-    step = hsd._step
 
-    def recording_step(problem, z, d, alpha):
+    def step(problem, z, d, alpha):
         tried.append(alpha)
-        return step(problem, z, d, alpha)
+        if not accepts(alpha):
+            return None
+        return SimpleNamespace(alpha=alpha, in_neighborhood=lambda theta: True)
 
-    monkeypatch.setattr(hsd, "_step", recording_step)
-    out = predictor_step(problem, z0, alpha_init=alpha_init)
-    assert not out.stalled
+    monkeypatch.setattr(hsd, "_step", step)
+    monkeypatch.setattr(hsd, "classify",
+                        lambda problem, t, params: hsd.OPTIMAL if meets(t.alpha) else None)
+    return tried, predictor_step(problem, initial_point(problem), alpha_init, SolverParams())
+
+
+def _schedule_start(alpha_init):
+    """Where the search starts: two entries above alpha_init, else the first."""
+    if alpha_init is None:
+        return 0
+    return max(hsd.STEP_SCHEDULE.index(alpha_init) - 2, 0)
+
+
+@pytest.mark.parametrize("alpha_init", [None, 0.9999, 0.999, 0.97, 0.6, 0.3, 0.1])
+def test_predictor_returns_the_first_accepted_entry(monkeypatch, alpha_init):
+    # trials take consecutive schedule entries from two above the last
+    # accepted step, and the first accepted one is returned
+    tried, out = _scheduled_search(monkeypatch, lambda a: a <= 0.3, alpha_init)
+    start = _schedule_start(alpha_init)
+    assert tried == list(hsd.STEP_SCHEDULE[start:start + len(tried)])
+    assert tried[-1] == out.alpha == out.iterate.alpha == min(0.3, hsd.STEP_SCHEDULE[start])
+    assert not out.stalled and out.trials == len(tried)
+
+
+@pytest.mark.parametrize("alpha_init", [None, hsd.ALPHA_CAP, 0.5, hsd.STEP_SCHEDULE[-1]])
+def test_predictor_never_tries_a_step_twice(monkeypatch, alpha_init):
+    # a search that accepts nothing tries each remaining entry once, and
+    # stalls only after the last
+    tried, out = _scheduled_search(monkeypatch, lambda a: False, alpha_init)
+    assert tried == list(hsd.STEP_SCHEDULE[_schedule_start(alpha_init):])
     assert len(tried) == len(set(tried))
-    if alpha_init is not None:
-        assert out.alpha < alpha_init / 2     # the search did shrink
+    assert out.stalled and out.alpha == 0.0 and out.trials == len(tried)
+
+
+@pytest.mark.parametrize("accepts, returned, last_tried", [
+    (lambda a: a <= 0.9, 0.7, 0.6),                # the rule ends the walk
+    (lambda a: a <= 0.9 and a != 0.8, 0.85, 0.8),  # a rejection ends it
+])
+def test_predictor_walks_down_while_the_stopping_rule_holds(monkeypatch, accepts,
+                                                            returned, last_tried):
+    # every trial at a step of at least 0.7 meets the stopping rule: from the
+    # first accepted one (0.9) the search walks down the schedule while the
+    # trials are accepted and meet the rule, and returns the last that does
+    tried, out = _scheduled_search(monkeypatch, accepts, meets=lambda a: a >= 0.7)
+    assert tried == list(hsd.STEP_SCHEDULE[:hsd.STEP_SCHEDULE.index(last_tried) + 1])
+    assert out.alpha == out.iterate.alpha == returned and not out.stalled
 
 
 def _predict(problem, z, monkeypatch, screen):
@@ -433,22 +480,22 @@ def _predict(problem, z, monkeypatch, screen):
 def test_predictor_screen_changes_no_step(envelope_small, envelope_small_k3,
                                           monkeypatch, late):
     # the same step and bit-identical iterate with the screen as with a
-    # screen that never rejects, early and at the last iterate, for k = 2
-    # and k = 3 cone factors; a trial rejected at an early factor never
-    # evaluates the later factors' barriers. Early is the iterate after one
-    # iteration: from the start, k = 2 rejects its trials at the last
-    # factor only.
+    # screen that never rejects, early and late, for k = 2 and k = 3 cone
+    # factors; a trial rejected at an early factor never evaluates the
+    # later factors' barriers. Early is the iterate after one iteration:
+    # from the start, k = 2 rejects its trials at the last factor only.
+    # Late is three iterations before the end, where the search's first
+    # trial (the step 0.9999) is still rejected; from k = 2's final iterate
+    # it is accepted at once.
     for k, inst in ((2, envelope_small), (3, envelope_small_k3)):
         problem = inst.built.problem
         assert len(problem.cone.factors) == k
-        z = inst.result.final if late else _iterate_after(problem, 1)
+        z = _iterate_after(problem, inst.result.iterations - 3 if late else 1)
         screened, verdicts, evaluated = _predict(problem, z, monkeypatch, screen=True)
         plain, _, evaluated_plain = _predict(problem, z, monkeypatch, screen=False)
         assert any(verdicts)  # the screen does reject, early and late
-        # a rejection at an early factor spares the later factors' barriers;
-        # k = 3's one rejection from its last iterate falls at the last
-        # factor, which spares none
-        assert evaluated < evaluated_plain or (late and k == 3)
+        # a rejection at an early factor spares the later factors' barriers
+        assert evaluated < evaluated_plain
         assert screened.alpha == plain.alpha and screened.stalled == plain.stalled
         for key in ("x", "y", "s"):
             assert np.array_equal(getattr(screened.iterate, key),
@@ -499,12 +546,14 @@ def test_adjustment_keeps_the_residual_shrink_on_the_arc(kind):
             assert np.linalg.norm(moved - (1.0 - alpha) * r) <= 1e-9 * (1 + np.linalg.norm(r))
 
 
-def test_predictor_search_stops_at_first_trial_meeting_tolerance(monkeypatch):
-    # butcher's last search, run to the largest step, reaches mu near 2e-12,
-    # and the Gram certificate at that iterate misses the benchmark's
-    # adjoint identity, max |sum_i Lambda_i^*(S_i) - s| <= 1e-8 (1 + ||s||),
-    # by 3.6x. The search returns the first accepted trial that classify
-    # gives a status, so the solve ends there, and the certificate holds.
+def test_predictor_search_walks_down_to_the_last_trial_meeting_tolerance(monkeypatch):
+    # butcher's last search, run to the largest step (0.9999), reaches mu
+    # near 2e-12, and the Gram certificate at that iterate misses the
+    # benchmark's adjoint identity, max |sum_i Lambda_i^*(S_i) - s| <=
+    # 1e-8 (1 + ||s||), by 3.6x. Once an accepted trial meets the stopping
+    # rule, the search walks down the schedule and returns the shortest
+    # step whose trial still meets it, so the solve ends there, and the
+    # certificate holds.
     built = sp.build_polymin(sp.builtin_poly("butcher"))
     problem, params = built.problem, SolverParams()
     searches, outcomes = [], []
@@ -525,12 +574,19 @@ def test_predictor_search_stops_at_first_trial_meeting_tolerance(monkeypatch):
     r = sp.solve(problem, params)
     assert r.status == hsd.OPTIMAL and len(searches) == r.iterations
     for i, (tried, out) in enumerate(zip(searches, outcomes)):
-        accepted = [t for t in tried if t is not None and t.in_neighborhood(hsd.BETA)]
-        meeting = [t for t in accepted if classify(problem, t, params) is not None]
+        ok = [t is not None and t.in_neighborhood(hsd.BETA) for t in tried]
+        met = [a and classify(problem, t, params) is not None for a, t in zip(ok, tried)]
         if i < len(searches) - 1:
-            assert not meeting
+            # the first accepted trial is returned, and it meets no rule
+            assert ok.index(True) == len(tried) - 1 and not any(met)
+            assert out.iterate is tried[-1]
         else:
-            assert meeting and out.iterate is meeting[0] is tried[-1] is r.final
+            # the first accepted trial meets the rule; from there the search
+            # walks down while trials meet it and returns the last that
+            # does, so the last trial tried misses the rule or N(BETA)
+            first = ok.index(True)
+            assert all(met[first:-1]) and not met[-1]
+            assert out.iterate is tried[-2] is r.final
     z = r.final
     for factor, ev in zip(built.cone.factors, z.barrier.factor_evals):
         cert, s = sp.lower_bound_certificate(factor, z, problem.c,
@@ -649,7 +705,7 @@ def test_corrector_miss_is_marked_stalled(perturbed_rows_problem, monkeypatch):
 
     monkeypatch.setattr(hsd, "corrector_phase", skip_sixth)
     r = sp.solve(perturbed_rows_problem(0.0))
-    assert r.status == hsd.PRIMAL_INFEASIBLE and r.iterations == 14
+    assert r.status == hsd.PRIMAL_INFEASIBLE and r.iterations == 16
     assert [rec.iteration for rec in r.trace if rec.stalled] == [5]
     rec = r.trace[5]
     assert rec.iteration == 5 and rec.corrected
@@ -781,7 +837,7 @@ def test_nearly_infeasible_rows_at_1e_2_fail_numerically(perturbed_rows_problem)
     r = sp.solve(perturbed_rows_problem(1e-2))
     assert r.status == hsd.NUMERICAL_FAILURE
     assert r.message == ("corrector failed to reach N(eta) in 4 steps "
-                         "(norm 3.666e-17 vs 7.422e-18)")
+                         "(norm 3.267e-16 vs 2.202e-17)")
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])

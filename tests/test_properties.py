@@ -6,20 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.linalg
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import sospoly as sp
 from sospoly import fileio, hsd
 from sospoly.hsd import initial_point
-from sospoly.recovery import (
-    PIVOT_TOL,
-    _ldl_min_pivot,
-    recover_gram,
-    verify_certificate,
-)
+from sospoly.recovery import recover_gram, verify_certificate
 
 
 def ones_weight(t):
@@ -204,41 +198,60 @@ def test_verified_certificate_meets_tol_exactly(case):
         assert exact <= Fraction(tol) * (1 + Fraction(float(np.max(np.abs(s)))))
 
 
-def _pivot_block_scan(S):
-    """Smallest eigenvalue over the 1x1/2x2 pivot blocks of S's LDL factor D."""
-    _, D, _ = scipy.linalg.ldl(S)
-    min_pivot, j, L = math.inf, 0, D.shape[0]
-    while j < L:
-        if j + 1 < L and (D[j, j + 1] != 0.0 or D[j + 1, j] != 0.0):
-            min_pivot = min(min_pivot, float(np.linalg.eigvalsh(D[j:j + 2, j:j + 2])[0]))
-            j += 2
-        else:
-            min_pivot = min(min_pivot, float(D[j, j]))
-            j += 1
-    return min_pivot
+def _exact_pivots(S):
+    """The pivots of S = L D L^T in exact rationals, up to the first that is
+    not positive: all L of them are positive exactly when S is positive
+    definite (Sylvester)."""
+    A = [[Fraction(v) for v in row] for row in S.tolist()]
+    pivots = []
+    for j in range(len(A)):
+        pivots.append(A[j][j])
+        if A[j][j] <= 0:
+            break
+        for i in range(j + 1, len(A)):
+            f = A[i][j] / A[j][j]
+            for k in range(j + 1, len(A)):
+                A[i][k] -= f * A[j][k]
+    return pivots
+
+
+# one unit-weight block of each size L = 1, ..., 6
+PSD_CONES = {d + 1: sp.build_cone(sp.cheb2_points(max(2 * d, 1)), [ones_weight], [d])
+             for d in range(6)}
 
 
 @st.composite
-def symmetric_matrices(draw):
-    """Indefinite, zero-diagonal (2x2 pivots), PSD and PSD shifted by -1e-10."""
-    L = draw(st.integers(1, 12))
+def symmetric_blocks(draw):
+    """Exactly symmetric blocks at the boundary of the PSD cone, scaled by
+    2^k: indefinite, rank-deficient G G^T (singular but for rounding), and
+    G G^T shifted so that its smallest eigenvalue is about -t tr(G G^T), t
+    around the rounding level, of either sign."""
+    L = draw(st.integers(1, 6))
     G = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((L, L))
-    kind = draw(st.sampled_from(["indefinite", "zero_diagonal", "psd", "shifted"]))
+    kind = draw(st.sampled_from(["indefinite", "rank_deficient", "shifted"]))
     if kind == "indefinite":
-        return G + G.T
-    if kind == "zero_diagonal":
         S = G + G.T
-        np.fill_diagonal(S, 0.0)
-        return S
-    rank = draw(st.integers(1, L))
-    S = G[:, :rank] @ G[:, :rank].T
-    return S - 1e-10 * np.eye(L) if kind == "shifted" else S
+    elif kind == "rank_deficient":
+        rank = draw(st.integers(0, L - 1))
+        S = G[:, :rank] @ G[:, :rank].T
+    else:
+        S = G @ G.T
+        t = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.integers(-17, -13))
+        S -= (np.linalg.eigvalsh(S)[0] + t * np.trace(S)) * np.eye(L)
+    S = np.triu(S) + np.triu(S, 1).T
+    return 2.0 ** draw(st.integers(-60, 60)) * S
 
 
-@given(symmetric_matrices())
-def test_ldl_min_pivot_equals_pivot_block_scan(S):
-    want = _pivot_block_scan(S)
-    assert _ldl_min_pivot(S) == (want >= -PIVOT_TOL, want)
+@settings(max_examples=200)
+@given(symmetric_blocks())
+def test_verified_psd_block_is_exactly_positive_definite(S):
+    # a block passes only if the exact rational matrix it stores has an
+    # LDL^T factorization with positive pivots
+    cone = PSD_CONES[S.shape[0]]
+    cert = sp.GramCertificate([S], 0.0, [], 0.0)
+    if verify_certificate(cone, cone.lambda_adjoint(0, S), cert).block_psd[0]:
+        pivots = _exact_pivots(S)
+        assert len(pivots) == S.shape[0] and all(p > 0 for p in pivots)
 
 
 @st.composite

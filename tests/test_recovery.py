@@ -172,7 +172,56 @@ def test_verify_flags_indefinite_block():
     cert.grams[0][-1, -1] = -1.0
     report = verify_certificate(cone, s, cert)
     assert not all(report.block_psd)
-    assert min(report.block_min_pivot) < 0
+    # the shift of the Cholesky of S - cI is at the rounding level of S
+    assert 0 < report.block_shift[0] <= 1e-13 * np.max(np.abs(cert.grams[0]))
+    assert not report.passed
+
+
+def _tiny_block_cone():
+    """The cone of points_for_degree(1, 4) with one unit-weight block of
+    degree 2 (L = 3), and three diagonal Gram blocks of size 1e-11: positive
+    definite, negative definite, and indefinite with every entry of its
+    adjoint negative."""
+    cone = build_cone(sp.points_for_degree(1, 4), [np.ones(5)], [2])
+    blocks = [np.diag([1e-12, 1e-12, 5e-11]), np.diag([-1e-12, -1e-12, -5e-11]),
+              np.diag([1e-12, 1e-12, -5e-11])]
+    return cone, blocks
+
+
+def test_verify_rejects_a_small_indefinite_block():
+    # every entry of s = Lambda^*(S) is negative, a certificate for a
+    # negative polynomial; its residual is far below tol, so only a PSD
+    # test relative to the scale of S can reject it
+    cone, (_, _, S) = _tiny_block_cone()
+    s = cone.lambda_adjoint(0, S)
+    assert np.all(s < 0) and np.max(s) < -1e-13
+    report = verify_certificate(cone, s, sp.GramCertificate([S], 0.0, [], 0.0), tol=1e-8)
+    assert report.adjoint_residual <= 1e-20
+    assert report.block_psd == [False] and not report.passed
+
+
+def test_verify_verdicts_do_not_change_with_scale():
+    # S -> 4^k S, s -> 4^k s scales every operation of the Cholesky of
+    # S - cI by a power of two (even, so that square roots scale exactly)
+    cone, blocks = _tiny_block_cone()
+    for S, psd in zip(blocks, (True, False, False)):
+        s = cone.lambda_adjoint(0, S)
+        for k in range(-200, 201, 25):
+            scale = 4.0**k
+            cert = sp.GramCertificate([scale * S], 0.0, [], 0.0)
+            report = verify_certificate(cone, scale * s, cert)
+            assert report.block_psd == [psd] and report.passed == psd
+
+
+def test_verify_rejects_an_asymmetric_block():
+    # the adjoint sees only the symmetric part; the Cholesky reads one
+    # triangle, so a block whose triangles differ is not verified
+    cone = unweighted_cone(2)
+    S = np.eye(3)
+    S[0, 2] = 0.5
+    s = cone.lambda_adjoint(0, S)
+    report = verify_certificate(cone, s, sp.GramCertificate([S], 0.0, [], 0.0))
+    assert report.block_psd == [False] and not report.passed
 
 
 @pytest.mark.parametrize("lb", [math.nan, -math.inf])
@@ -268,13 +317,14 @@ def test_random_n1_envelope_certificates_verify(seed):
 
 
 def test_verify_fails_when_the_rounding_bound_exceeds_tol():
-    # two nearly parallel basis columns and a PSD Gram matrix whose 1e18
-    # entries cancel in the adjoint to values below 1: s is the computed
-    # adjoint itself, so the computed residual is 0, but its rounding is
-    # of the order u * 1e18 and the bound must decide
+    # two nearly parallel basis columns and a positive definite Gram matrix
+    # whose 1e12 entries cancel in the adjoint to values below 1: s is the
+    # computed adjoint itself, so the computed residual is 0, but its
+    # rounding is of the order u * 1e12 and the bound must decide. (At 1e18,
+    # 1e18 + 1 rounds to 1e18 and the stored matrix is singular.)
     P = unweighted_cone(1).blocks[0]
-    cone = InterpWSOSCone([np.column_stack([P[:, 0], P[:, 0] + 1e-9 * P[:, 1]])])
-    S = 1e18 * np.array([[1.0, -1.0], [-1.0, 1.0]]) + np.eye(2)
+    cone = InterpWSOSCone([np.column_stack([P[:, 0], P[:, 0] + 1e-6 * P[:, 1]])])
+    S = 1e12 * np.array([[1.0, -1.0], [-1.0, 1.0]]) + 0.01 * np.eye(2)
     s, bound = _adjoint_with_bound(cone, [S])
     cert = sp.GramCertificate([S], 0.0, [0.0], 1.0)
     limit = 1e-8 * (1 + np.max(np.abs(s)))
@@ -326,10 +376,13 @@ def test_sos_terms_rank_one():
 
 
 def test_sos_terms_rejects_indefinite():
+    # the threshold is relative to the block: scaled down to 1e-12, the
+    # block's negative eigenvalue -1e-18 is not clipped as round-off
     cone = build_cone(sp.cheb2_points(2), [ones_weight], [1])
-    cert = sp.GramCertificate([np.diag([1.0, -1e-6])], 0.0, [-1e-6], 1.0)
-    with pytest.raises(ValueError):
-        sos_terms(cert, cone)
+    for scale in (1.0, 1e-12):
+        cert = sp.GramCertificate([scale * np.diag([1.0, -1e-6])], 0.0, [-1e-6 * scale], 1.0)
+        with pytest.raises(ValueError, match="not PSD"):
+            sos_terms(cert, cone)
 
 
 def test_reconstruction_on_envelope_iterate(envelope_small):
