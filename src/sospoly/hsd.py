@@ -8,8 +8,10 @@ and dual problems
 
 into the homogeneous self-dual system in z = (x, tau, y, s, kappa) and
 alternates line-searched predictor steps with centering corrector steps,
-keeping every iterate inside a neighborhood of the central path measured in
-the barrier's local norm. Optimal solutions are read off as x/tau, (y, s)/tau
+keeping every iterate near the central path in the barrier's local norm:
+a predictor trial is accepted when the tau term and each cone factor's term
+are at most (BETA mu)^2, and the corrector re-centers into the sum-norm
+neighborhood N(ETA). Optimal solutions are read off as x/tau, (y, s)/tau
 when tau stays positive; infeasibility certificates appear when kappa wins.
 
 The predictor searches along an arc rather than a ray. Its direction d
@@ -41,11 +43,13 @@ class SolverError(RuntimeError):
     """Unrecoverable numerical failure inside the solver."""
 
 
-# neighborhood radii of the corrector (ETA) and predictor (BETA) phases, the
-# corrector step length and the most corrector steps per phase: the fixed
-# safe set of the Skajaa-Ye method
+# the corrector's radius on the sum-norm neighborhood N(ETA) (the safe set
+# of the Skajaa-Ye method), the predictor's bound on the proximity, each
+# term separately (BETA; Coey, Kapelevich and Vielma, Math. Prog. Comp.
+# 2023, chosen by a sweep under the certificate protocol), the corrector
+# step length and the most corrector steps per phase
 ETA = 0.0305
-BETA = 0.2387
+BETA = 0.4
 ALPHA_C = 1.0
 R_C = 4
 # predictor search: its step lengths, longest first (Coey, Kapelevich and
@@ -154,9 +158,11 @@ class Iterate:
     mu: float
     psi_x: np.ndarray
     psi_tau: float
-    nbhd_norm: float
+    nbhd_norm: float  # root of the tau term plus every cone factor's term
+    proximity: float  # root of the largest of those terms
 
     def in_neighborhood(self, theta: float) -> bool:
+        """Whether z lies in N(theta), the sum-norm neighborhood."""
         return self.nbhd_norm <= theta * self.mu
 
 
@@ -228,10 +234,12 @@ def make_iterate(problem, x, tau, y, s, kappa, barrier=None) -> Iterate:
     mu = _mu(problem, x, tau, s, kappa)
     if mu <= 0:
         raise NotInteriorError("complementarity gap must stay positive")
-    psi_x, quad = barrier.centrality(s, mu)
+    psi_x, terms = barrier.centrality(s, mu)
     psi_tau = kappa - mu / tau
-    norm = math.sqrt(quad + (tau * psi_tau) ** 2)
-    return Iterate(x, tau, y, s, kappa, barrier, mu, psi_x, psi_tau, norm)
+    tau_term = (tau * psi_tau) ** 2
+    norm = math.sqrt(sum(terms) + tau_term)
+    proximity = math.sqrt(max(tau_term, *terms))
+    return Iterate(x, tau, y, s, kappa, barrier, mu, psi_x, psi_tau, norm, proximity)
 
 
 def _mu(problem, x, tau, s, kappa) -> float:
@@ -242,9 +250,9 @@ def try_make_iterate(problem, x, tau, y, s, kappa, screen=None):
     """The iterate at (x, tau, y, s, kappa), or None outside the interior.
 
     With ``screen``, the iterate a predictor trial steps from, it is also
-    None when a lower bound on the neighborhood norm already puts the point
-    outside N(BETA); such a point never forms or factors its barrier
-    Hessian. Any other point comes out exactly as make_iterate makes it.
+    None when a lower bound on one term of the proximity already exceeds
+    (BETA*mu)^2; such a point never forms or factors its barrier Hessian.
+    Any other point comes out exactly as make_iterate makes it.
     """
     try:
         barrier = None
@@ -258,15 +266,16 @@ def try_make_iterate(problem, x, tau, y, s, kappa, screen=None):
 
 
 def _screened_barrier(problem, z: Iterate, x, tau, s, kappa):
-    """The barrier at x, or None once the neighborhood norm provably exceeds BETA*mu.
+    """The barrier at x, or None once the proximity provably exceeds BETA*mu.
 
-    The tau term alone decides exactly, since the full norm only adds a
-    nonnegative term under the root; it is checked before any barrier. Then
+    The proximity is the root of the largest of the tau term and the cone
+    factors' terms psi_i^T H_i^{-1} psi_i, so any one term above (BETA*mu)^2
+    rejects. The tau term is exact and is checked before any barrier. Then
     each cone factor's barrier is evaluated in turn and its term
     lower-bounded with z's cached Hessian factors as reference
     (``BarrierEval.inv_quadform_lower_bound``), so the first factor whose
-    running bound passes (BETA*mu)^2 (with a relative margin of 1e-6 for
-    the rounding in which the bounds differ from the exact norm) spares the
+    bound passes (BETA*mu)^2 (with a relative margin of 1e-6 for the
+    rounding in which the bounds differ from the exact terms) spares the
     barriers of the rest. Raises NotInteriorError where a factor's barrier
     does.
     """
@@ -276,13 +285,11 @@ def _screened_barrier(problem, z: Iterate, x, tau, s, kappa):
     if math.sqrt(tau_term) > BETA * mu:
         return None
     cap = (1.0 + 1e-6) * (BETA * mu) ** 2
-    bound = tau_term
     cone = problem.cone
     evals = []
     for factor, ref, sl in zip(cone.factors, z.barrier.factor_evals, cone.slices()):
         ev = factor.barrier(x[sl])
-        bound += ev.inv_quadform_lower_bound(s[sl], mu, ref)
-        if bound > cap:
+        if ev.inv_quadform_lower_bound(s[sl], mu, ref) > cap:
             return None
         evals.append(ev)
     return ProductBarrierEval(cone, x, evals)
@@ -545,7 +552,7 @@ def _stepped(z: Iterate, d: Direction, alpha: float):
 
 
 def _step(problem, z: Iterate, d: Direction, alpha: float):
-    """Predictor trial on d's arc, screened against N(BETA) before its Hessian."""
+    """Predictor trial on d's arc, screened against BETA before its Hessian."""
     return try_make_iterate(problem, *_stepped(z, d, alpha), screen=z)
 
 
@@ -559,13 +566,17 @@ class PredictorOutcome:
 
 def predictor_step(problem, z: Iterate, alpha_init=None,
                    params: SolverParams | None = None) -> PredictorOutcome:
-    """The first step of STEP_SCHEDULE whose trial on the predictor arc lies in N(BETA).
+    """The first step of STEP_SCHEDULE whose trial on the predictor arc is within BETA.
 
-    Trials sit at z + alpha d + alpha^2 d_adj (``newton_direction``) and
-    take the schedule's entries in order from two entries above
-    ``alpha_init``, the previously accepted step (from the first entry
-    without one). Each trial is screened against N(BETA) before its barrier
-    Hessian is formed (``try_make_iterate``), which changes no step. With
+    A trial is accepted when the tau term and each cone factor's term
+    psi_i^T H_i^{-1} psi_i are each at most (BETA*mu)^2 (``Iterate.proximity``),
+    not their sum: the per-factor proximity of Coey, Kapelevich and Vielma
+    (Math. Prog. Comp. 2023). Trials sit at z + alpha d + alpha^2 d_adj
+    (``newton_direction``) and take the schedule's entries in order from
+    two entries above ``alpha_init``, the previously accepted step (from
+    the first entry without one). Each trial is screened against BETA
+    before its barrier Hessian is formed (``try_make_iterate``), which
+    changes no step. With
     ``params``, an accepted trial that ``classify`` gives a status is
     followed down the schedule while shorter trials are accepted and still
     meet the stopping rule, and the last of them is returned: a longer step
@@ -582,7 +593,7 @@ def predictor_step(problem, z: Iterate, alpha_init=None,
         nonlocal trials
         trials += 1
         trial = _step(problem, z, direction, a)
-        if trial is not None and trial.in_neighborhood(BETA):
+        if trial is not None and trial.proximity <= BETA * trial.mu:
             return trial
         return None
 

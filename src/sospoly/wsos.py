@@ -346,18 +346,18 @@ class ProductBarrierEval:
             [e.third_order(d[sl]) for e, sl in zip(self.factor_evals, self.cone.slices())]
         )
 
-    def centrality(self, s: np.ndarray, mu: float) -> tuple[np.ndarray, float]:
-        """psi = s + mu g and psi^T H^{-1} psi, forming and factoring each H_i.
+    def centrality(self, s: np.ndarray, mu: float) -> tuple[np.ndarray, list[float]]:
+        """psi = s + mu g and the terms psi_i^T H_i^{-1} psi_i, forming and factoring each H_i.
 
         This is the Hessian stage of an iterate, O(L_i U^2 + U^3) per factor:
         each factor's gradient and Hessian, its Cholesky factor and its term
-        psi_i^T H_i^{-1} psi_i. With two or more factors of at least
-        CONCURRENT_MIN_U points the factors run concurrently
-        (``_threads.map_factors``), each on the same floating-point
-        operations as in sequence, and the terms are summed in factor order,
-        so the result is bit for bit the sequential one. A factor outside
-        the interior raises NotInteriorError; run concurrently, the first
-        such factor's error is raised once every factor has finished.
+        psi_i^T H_i^{-1} psi_i; the terms come back in factor order. With two
+        or more factors of at least CONCURRENT_MIN_U points the factors run
+        concurrently (``_threads.map_factors``), each on the same
+        floating-point operations as in sequence, so the result is bit for
+        bit the sequential one. A factor outside the interior raises
+        NotInteriorError; run concurrently, the first such factor's error is
+        raised once every factor has finished.
         """
         evals, slices = self.factor_evals, self.cone.slices()
 
@@ -377,7 +377,7 @@ class ProductBarrierEval:
             for ev in evals[1:]:
                 ev._hessian = ev._hessian.copy()
                 ev._hess_chol = ev._hess_chol.copy()
-        return np.concatenate([psi for psi, _ in terms]), sum(q for _, q in terms)
+        return np.concatenate([psi for psi, _ in terms]), [q for _, q in terms]
 
 
 def as_product(cone) -> ProductCone:

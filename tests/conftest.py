@@ -18,8 +18,10 @@ from hypothesis import settings  # noqa: E402
 
 import sospoly as sp  # noqa: E402
 
-# property tests draw the same bounded set of examples on every run and keep
-# no example database
+# property tests draw a bounded set of examples and keep no example database;
+# the draws repeat from run to run, but Hypothesis also seeds them with the
+# numeric literals of the package's source, so editing a literal in src/
+# changes them: a case a test must always see is pinned with @example
 settings.register_profile("sospoly", derandomize=True, deadline=None,
                           max_examples=25, database=None)
 settings.load_profile("sospoly")

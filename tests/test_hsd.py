@@ -1,5 +1,6 @@
 """The homogeneous self-dual predictor-corrector solver."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -244,22 +245,34 @@ def _iterate_after(problem, iterations):
     return r.final
 
 
+def _first_iterate_below(problem, trace, mu):
+    """The first iterate with mu at most ``mu`` of the solve that left ``trace``."""
+    return _iterate_after(problem, next(rec.iteration for rec in trace if rec.mu <= mu) + 1)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("iterations", [0, 9])
 def test_null_space_direction_matches_dense_lu(k, iterations):
-    # m = 2 and m = 3 identity blocks, at the start and at mu near 1e-3
+    # m = 2 and m = 3 identity blocks, at the start and at the first iterate
+    # with mu <= 1e-3, which the solve reaches within 9 iterations
     problem = sp.build_envelope(1, 6, k, seed=2).problem
     assert problem.identity_blocks
-    z = _iterate_after(problem, iterations) if iterations else initial_point(problem)
-    assert iterations == 0 or 1e-4 <= z.mu <= 1e-2
+    if iterations:
+        trace = sp.solve(problem).trace
+        reached = next(rec.iteration for rec in trace if rec.mu <= 1e-3) + 1
+        assert reached <= iterations
+        z = _iterate_after(problem, reached)
+        assert 1e-4 <= z.mu <= 1e-3
+    else:
+        z = initial_point(problem)
     for mode in ("predictor", "corrector"):
         _assert_same_direction(*_both_directions(problem, z, mode))
 
 
 def test_null_space_direction_matches_dense_lu_env1d100(envelope_1d_100):
     problem = envelope_1d_100.built.problem
-    middle = _iterate_after(problem, 13)
-    assert 1e-4 <= middle.mu <= 1e-2
+    middle = _first_iterate_below(problem, envelope_1d_100.result.trace, 1e-3)
+    assert 1e-4 <= middle.mu <= 1e-3
     for z in (initial_point(problem), middle):
         for mode in ("predictor", "corrector"):
             _assert_same_direction(*_both_directions(problem, z, mode))
@@ -370,7 +383,61 @@ def test_predictor_accepts_reasonable_step():
     assert not out.stalled
     assert out.alpha >= 0.01
     assert out.iterate.mu < 1.0
-    assert out.iterate.in_neighborhood(hsd.BETA)
+    assert out.iterate.proximity <= hsd.BETA * out.iterate.mu
+
+
+def _solve_recording(problem, monkeypatch):
+    """The solve of problem, the iterates its predictor searches returned
+    and the iterates its corrector phases returned."""
+    predicted, corrected = [], []
+    search, phase = hsd.predictor_step, hsd.corrector_phase
+
+    def recording_search(problem, z, alpha_init=None, params=None):
+        out = search(problem, z, alpha_init, params)
+        predicted.append(out.iterate)
+        return out
+
+    def recording_phase(problem, z):
+        out = phase(problem, z)
+        corrected.append(out[0])
+        return out
+
+    monkeypatch.setattr(hsd, "predictor_step", recording_search)
+    monkeypatch.setattr(hsd, "corrector_phase", recording_phase)
+    return sp.solve(problem), predicted, corrected
+
+
+def _terms(z):
+    """The tau term, then each cone factor's term psi_i^T H_i^{-1} psi_i, at z."""
+    slices = z.barrier.cone.slices()
+    return [(z.tau * z.psi_tau) ** 2] + [
+        ev.inv_quadform(z.psi_x[sl]) for ev, sl in zip(z.barrier.factor_evals, slices)]
+
+
+def test_predictor_bounds_each_term_not_their_sum(monkeypatch):
+    # every accepted predictor trial has the tau term and each of the three
+    # cone factors' terms at most (BETA mu)^2, while the sum of the terms,
+    # the old acceptance test, exceeds it at some of them
+    r, predicted, _ = _solve_recording(sp.build_envelope(1, 5, 3, seed=1).problem,
+                                       monkeypatch)
+    assert r.status == hsd.OPTIMAL and len(predicted) == r.iterations
+    for z in predicted:
+        assert math.sqrt(max(_terms(z))) == z.proximity <= hsd.BETA * z.mu
+    assert any(z.nbhd_norm > hsd.BETA * z.mu for z in predicted)
+
+
+def test_trace_records_carry_the_sum_norm(monkeypatch):
+    # each record's nbhd_norm, which the trace CSV writes and criterion 7
+    # checks against ETA, is the root of the sum of the terms at the iterate
+    # the iteration ends at, not the predictor's proximity
+    r, predicted, corrected = _solve_recording(sp.build_envelope(1, 5, 3, seed=1).problem,
+                                               monkeypatch)
+    ends = corrected + [predicted[-1]]
+    assert r.status == hsd.OPTIMAL and len(ends) == len(r.trace)
+    for rec, z in zip(r.trace, ends):
+        terms = _terms(z)
+        assert rec.nbhd_norm == z.nbhd_norm == math.sqrt(sum(terms[1:]) + terms[0])
+    assert any(rec.nbhd_norm > z.proximity for rec, z in zip(r.trace, ends))
 
 
 def test_predictor_zero_direction_stalls(monkeypatch):
@@ -401,7 +468,7 @@ def _scheduled_search(monkeypatch, accepts, alpha_init=None, meets=lambda a: Fal
         tried.append(alpha)
         if not accepts(alpha):
             return None
-        return SimpleNamespace(alpha=alpha, in_neighborhood=lambda theta: True)
+        return SimpleNamespace(alpha=alpha, mu=1.0, proximity=0.0)
 
     monkeypatch.setattr(hsd, "_step", step)
     monkeypatch.setattr(hsd, "classify",
@@ -504,6 +571,28 @@ def test_predictor_screen_changes_no_step(envelope_small, envelope_small_k3,
             assert getattr(screened.iterate, key) == getattr(plain.iterate, key)
 
 
+def test_every_screen_rejection_is_a_rejected_trial(monkeypatch):
+    # over a whole solve with three cone factors, every trial the screen
+    # rejects before its Hessian has, formed in full, a proximity above
+    # BETA mu: the screen bounds each term against (BETA mu)^2, never a sum
+    problem = sp.build_envelope(1, 5, 3, seed=1).problem
+    rejected = []
+    screened_barrier = hsd._screened_barrier
+
+    def recording(problem, z, x, tau, s, kappa):
+        barrier = screened_barrier(problem, z, x, tau, s, kappa)
+        if barrier is None:
+            rejected.append((x, tau, s, kappa))
+        return barrier
+
+    monkeypatch.setattr(hsd, "_screened_barrier", recording)
+    assert sp.solve(problem).status == hsd.OPTIMAL and rejected
+    y = np.zeros(problem.A.shape[0])
+    for x, tau, s, kappa in rejected:
+        trial = hsd.try_make_iterate(problem, x, tau, y, s, kappa)
+        assert trial is None or trial.proximity > hsd.BETA * trial.mu
+
+
 def _linear_rows(problem, d):
     """The embedding's linear rows at d with zero right-hand side."""
     b, c = problem.b, problem.c
@@ -574,7 +663,7 @@ def test_predictor_search_walks_down_to_the_last_trial_meeting_tolerance(monkeyp
     r = sp.solve(problem, params)
     assert r.status == hsd.OPTIMAL and len(searches) == r.iterations
     for i, (tried, out) in enumerate(zip(searches, outcomes)):
-        ok = [t is not None and t.in_neighborhood(hsd.BETA) for t in tried]
+        ok = [t is not None and t.proximity <= hsd.BETA * t.mu for t in tried]
         met = [a and classify(problem, t, params) is not None for a, t in zip(ok, tried)]
         if i < len(searches) - 1:
             # the first accepted trial is returned, and it meets no rule
@@ -583,7 +672,7 @@ def test_predictor_search_walks_down_to_the_last_trial_meeting_tolerance(monkeyp
         else:
             # the first accepted trial meets the rule; from there the search
             # walks down while trials meet it and returns the last that
-            # does, so the last trial tried misses the rule or N(BETA)
+            # does, so the last trial tried misses the rule or BETA
             first = ok.index(True)
             assert all(met[first:-1]) and not met[-1]
             assert out.iterate is tried[-2] is r.final
@@ -695,7 +784,7 @@ def test_primal_infeasible_detection(contradictory_rows_solved):
 def test_corrector_miss_is_marked_stalled(perturbed_rows_problem, monkeypatch):
     # the contradictory rows' corrector phases all reach N(eta), so
     # iteration 5's is skipped: that iteration misses N(eta), and the solve
-    # goes on from its iterate and still detects infeasibility
+    # goes on past it from its iterate and still detects infeasibility
     phase = hsd.corrector_phase
     calls = []
 
@@ -705,7 +794,7 @@ def test_corrector_miss_is_marked_stalled(perturbed_rows_problem, monkeypatch):
 
     monkeypatch.setattr(hsd, "corrector_phase", skip_sixth)
     r = sp.solve(perturbed_rows_problem(0.0))
-    assert r.status == hsd.PRIMAL_INFEASIBLE and r.iterations == 16
+    assert r.status == hsd.PRIMAL_INFEASIBLE and r.iterations > 6
     assert [rec.iteration for rec in r.trace if rec.stalled] == [5]
     rec = r.trace[5]
     assert rec.iteration == 5 and rec.corrected
@@ -837,7 +926,8 @@ def test_nearly_infeasible_rows_at_1e_2_fail_numerically(perturbed_rows_problem)
     r = sp.solve(perturbed_rows_problem(1e-2))
     assert r.status == hsd.NUMERICAL_FAILURE
     assert r.message == ("corrector failed to reach N(eta) in 4 steps "
-                         "(norm 3.267e-16 vs 2.202e-17)")
+                         "(norm 8.421e-19 vs 8.941e-20)")
+    assert r.iterations == 25
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])

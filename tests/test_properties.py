@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -98,7 +98,18 @@ def screen_cases(draw):
     return cone, x, ref, psi, draw(st.floats(0.0, 1.0))
 
 
+def at_the_centered_boundary_case(test):
+    """Pin x = ref = 1, psi = 0, mu = 1 on every cone: the draws also take
+    numeric literals from the package's source, so an edit there can drop
+    this case, on which the bound once read 7.6e-32 against a norm of 0."""
+    for cone in CONES:
+        ones = np.ones(cone.U)
+        test = example((cone, ones, ones, np.zeros(cone.U), 1.0))(test)
+    return test
+
+
 @given(screen_cases())
+@at_the_centered_boundary_case
 def test_screen_bound_below_every_jittered_norm(case):
     # the predictor's screen may reject only what the full norm, taken with
     # the barrier's one Hessian H + eps I, rejects
@@ -112,6 +123,7 @@ def test_screen_bound_below_every_jittered_norm(case):
 
 
 @given(screen_cases())
+@at_the_centered_boundary_case
 def test_screen_bound_tight_at_its_reference(case):
     cone, x, _, psi, mu = case
     full = cone.barrier(x)

@@ -1,0 +1,93 @@
+"""The certificate protocol for changes that move iterates, in one command.
+
+Solves and certifies the two populations of ROADMAP's protocol, built as
+the benchmark builds its envelope instances (``benchmarks/workloads.py``,
+imported and left unchanged):
+
+- n1: n=1 d=100 envelopes, three per seed at tolerance 1e-8 (60 cone
+  factors over seeds 1-10);
+- n3: n=3 d=6 envelopes, the envelope-3d workload's two per seed at
+  tolerance 1e-6 (40 cone factors over seeds 1-10).
+
+For each population it prints the cone factors certified, the solver's
+iterations, predictor trials and corrector steps, the factors whose Gram
+blocks miss the adjoint identity to 1e-8 (1 + ||s||_2)
+(``checks.check_adjoint``), the factors ``verify_certificate`` rejects, the
+worst adjoint residual as a share of that limit, and the instances that
+fail another reference check (a status other than Optimal among them).
+BLAS runs on one thread, as in the benchmark. It exits 1 if any factor
+misses or is rejected or any instance fails a check.
+
+    python3 tools/certificate_protocol.py
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+
+import numpy as np  # noqa: E402
+
+import sospoly as sp  # noqa: E402
+import checks  # noqa: E402
+import workloads  # noqa: E402
+
+SEEDS = range(1, 11)
+POPULATIONS = {
+    "n1": lambda seed: workloads.envelope_instances(seed, 1, 100, 3, 1e-8, 102),
+    "n3": workloads.WORKLOADS["envelope-3d"],
+}
+
+
+def run_population(name: str) -> dict:
+    """Totals over the population's instances for every seed."""
+    totals = dict(factors=0, iterations=0, trials=0, corrector_steps=0,
+                  misses=0, rejections=0, worst_ratio=0.0, failed=[])
+    for seed in SEEDS:
+        for inst in POPULATIONS[name](seed):
+            built = workloads.build(inst)
+            params = sp.SolverParams(tol_gap=inst.tol, tol_infeas=inst.tol)
+            result = sp.solve(built.problem, params)
+            totals["iterations"] += result.iterations
+            totals["trials"] += result.trials
+            totals["corrector_steps"] += sum(rec.corrector_steps for rec in result.trace)
+            if result.status != sp.hsd.OPTIMAL:
+                totals["failed"].append(f"{inst.name}: status {result.status}")
+                continue
+            certs = workloads.certify(inst, built, result)
+            wrong, _ = workloads.check(inst, built, result, certs)
+            totals["failed"] += [f"{inst.name}: {m}" for m in wrong]
+            for factor, s, cert, report in certs:
+                resid = np.max(np.abs(checks.adjoint_sum(factor.blocks, cert.grams) - s))
+                ratio = float(resid) / (1e-8 * (1.0 + np.linalg.norm(s)))
+                totals["factors"] += 1
+                totals["misses"] += bool(checks.check_adjoint(factor.blocks, cert.grams, s))
+                totals["rejections"] += not report.passed
+                totals["worst_ratio"] = max(totals["worst_ratio"], ratio)
+    return totals
+
+
+def main() -> int:
+    clean = True
+    for name in POPULATIONS:
+        t = run_population(name)
+        print(f"{name}: factors {t['factors']}, iterations {t['iterations']}, "
+              f"trials {t['trials']}, corrector steps {t['corrector_steps']}, "
+              f"misses {t['misses']}, rejections {t['rejections']}, "
+              f"worst ratio {t['worst_ratio']:.3g}, failed {len(t['failed'])}", flush=True)
+        for line in t["failed"]:
+            print(f"  FAIL {line}")
+        clean = clean and not (t["misses"] or t["rejections"] or t["failed"])
+    return 0 if clean else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
