@@ -14,18 +14,21 @@ are at most (BETA mu)^2, and the corrector re-centers into the sum-norm
 neighborhood N(ETA). Optimal solutions are read off as x/tau, (y, s)/tau
 when tau stays positive; infeasibility certificates appear when kappa wins.
 
-The predictor searches along an arc rather than a ray. Its direction d
-carries a third-order adjustment d_adj, solved with the same factorization
-(Dahl and Andersen, Math. Program. 2022; Coey, Kapelevich and Vielma, Math.
-Prog. Comp. 2023): d_adj has zero linear rows and complementarity rows
-mu (H dx - nabla^3 F(x)[dx, dx] / 2) and mu (dtau / tau^2 + dtau^2 / tau^3),
-the second-order term of the central path through z. Each trial sits at
-z + alpha d + alpha^2 d_adj, so the linear residual still shrinks to
-(1 - alpha) r(z), and the arc bends along the path where the ray leaves the
-neighborhood. The search takes the first accepted step of a fixed
-descending schedule, and walks down it while shorter trials still meet the
-stopping rule (``classify``), so the last step stops near the tolerance
-instead of overshooting it.
+Both steps move along an arc rather than a ray. Each direction d carries a
+third-order adjustment d_adj, solved with the same factorization (Dahl and
+Andersen, Math. Program. 2022; Coey, Kapelevich and Vielma, Math. Prog.
+Comp. 2023), and each trial sits at z + alpha d + alpha^2 d_adj. d_adj has
+zero linear rows, and complementarity rows that cancel the alpha^2 term of
+the path conditions: for the predictor, the second-order term of the
+central path through z, mu (H dx - nabla^3 F(x)[dx, dx] / 2) and
+mu (dtau / tau^2 + dtau^2 / tau^3); for the corrector, at fixed mu,
+-(mu/2) nabla^3 F(x)[dx, dx] and mu dtau^2 / tau^3. So the linear residual
+still shrinks to (1 - alpha) r(z) on the predictor's arc and stays r(z) on
+the corrector's, and the arcs bend along the path where the rays leave the
+neighborhood. The predictor's search takes the first accepted step of a
+fixed descending schedule, and walks down it while shorter trials still
+meet the stopping rule (``classify``), so the last step stops near the
+tolerance instead of overshooting it.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ class SolverError(RuntimeError):
 # 2023, chosen by a sweep under the certificate protocol), the corrector
 # step length and the most corrector steps per phase
 ETA = 0.0305
-BETA = 0.4
+BETA = 0.7
 ALPHA_C = 1.0
 R_C = 4
 # predictor search: its step lengths, longest first (Coey, Kapelevich and
@@ -174,8 +177,9 @@ class Direction:
     ds: np.ndarray
     dkappa: float
     residual: float  # full-system residual, relative
-    # a predictor direction's third-order adjustment: its trials sit at
-    # z + alpha d + alpha^2 adjustment (None for a corrector direction)
+    # the third-order adjustment that ``newton_direction`` gives a predictor
+    # or corrector direction: its trials sit at z + alpha d + alpha^2
+    # adjustment (None on the adjustment itself)
     adjustment: Direction | None = None
 
     def norm(self) -> float:
@@ -502,8 +506,8 @@ class _NullSpaceKKT(_ReducedKKT):
 def newton_direction(problem, z: Iterate, rhs_mode: str) -> Direction:
     """Predictor or corrector direction at z (one shared factorization).
 
-    A predictor direction comes with its third-order adjustment
-    (``Direction.adjustment``), a second solve with the same factorization.
+    Either comes with its third-order adjustment (``Direction.adjustment``),
+    a second solve with the same factorization.
     """
     if rhs_mode == "predictor":
         r_p, r_d, r_g = embedding_residual(problem, z)
@@ -515,40 +519,39 @@ def newton_direction(problem, z: Iterate, rhs_mode: str) -> Direction:
         raise ValueError(f"unknown rhs_mode {rhs_mode!r}")
     kkt = (_NullSpaceKKT if problem.identity_blocks else _ReducedKKT)(problem, z)
     d = kkt.solve(*rhs)
-    if rhs_mode == "predictor":
-        d.adjustment = kkt.solve(*_adjustment_rhs(problem, z, d))
+    d.adjustment = kkt.solve(*_adjustment_rhs(problem, z, d, rhs_mode == "predictor"))
     return d
 
 
-def _adjustment_rhs(problem, z: Iterate, d: Direction):
-    """Right-hand side of the third-order adjustment of predictor direction d.
+def _adjustment_rhs(problem, z: Iterate, d: Direction, predictor: bool):
+    """Right-hand side of the third-order adjustment of direction d.
 
-    Along z(alpha) = z + alpha d + alpha^2 d_adj, the path condition
-    s + (1 - alpha) mu g(x) = 0 holds to first order by d; its alpha^2 term
-    gives ds_adj + mu H dx_adj = mu H dx - (mu/2) nabla^3 F(x)[dx, dx], and
-    the tau barrier -ln tau, whose third derivative is -2/tau^3, gives
-    dkappa_adj + (mu/tau^2) dtau_adj = mu dtau/tau^2 + mu dtau^2/tau^3.
-    The linear rows are zero, so the embedding residual along the arc is
-    (1 - alpha) r(z), as on the ray.
+    Along z(alpha) = z + alpha d + alpha^2 d_adj, d meets the path condition
+    to first order; the adjustment cancels its alpha^2 term. For a
+    predictor the condition is s + (1 - alpha) mu g(x) = 0, whose alpha^2
+    term gives ds_adj + mu H dx_adj = mu H dx - (mu/2) nabla^3 F(x)[dx, dx],
+    and the tau barrier -ln tau, whose third derivative is -2/tau^3, gives
+    dkappa_adj + (mu/tau^2) dtau_adj = mu dtau/tau^2 + mu dtau^2/tau^3. For
+    a corrector mu is fixed, so the conditions s + mu g(x) = 0 and
+    kappa - mu/tau = 0 lose the terms of mu's decrease and leave
+    -(mu/2) nabla^3 F(x)[dx, dx] and mu dtau^2/tau^3. The linear rows are
+    zero, so the embedding residual along the arc is (1 - alpha) r(z) for a
+    predictor and r(z) for a corrector, as on the ray.
     """
     k, N = problem.A.shape
     mu, tau = z.mu, z.tau
-    r4 = mu * (z.barrier.hess_apply(d.dx) - 0.5 * z.barrier.third_order(d.dx))
-    r5 = mu * d.dtau / tau**2 + mu * d.dtau**2 / tau**3
+    second = z.barrier.hess_apply(d.dx) if predictor else 0.0
+    r4 = mu * (second - 0.5 * z.barrier.third_order(d.dx))
+    r5 = (mu * d.dtau / tau**2 if predictor else 0.0) + mu * d.dtau**2 / tau**3
     return np.zeros(k), np.zeros(N), 0.0, r4, r5
 
 
 def _stepped(z: Iterate, d: Direction, alpha: float):
-    """z + alpha d, and for a predictor direction + alpha^2 d.adjustment."""
-    point = (z.x + alpha * d.dx, z.tau + alpha * d.dtau, z.y + alpha * d.dy,
-             z.s + alpha * d.ds, z.kappa + alpha * d.dkappa)
-    adj = d.adjustment
-    if adj is None:
-        return point
-    a2 = alpha * alpha
-    x, tau, y, s, kappa = point
-    return (x + a2 * adj.dx, tau + a2 * adj.dtau, y + a2 * adj.dy,
-            s + a2 * adj.ds, kappa + a2 * adj.dkappa)
+    """z + alpha d + alpha^2 d.adjustment, the point at alpha on d's arc."""
+    adj, a2 = d.adjustment, alpha * alpha
+    return (z.x + alpha * d.dx + a2 * adj.dx, z.tau + alpha * d.dtau + a2 * adj.dtau,
+            z.y + alpha * d.dy + a2 * adj.dy, z.s + alpha * d.ds + a2 * adj.ds,
+            z.kappa + alpha * d.dkappa + a2 * adj.dkappa)
 
 
 def _step(problem, z: Iterate, d: Direction, alpha: float):
@@ -620,8 +623,11 @@ def predictor_step(problem, z: Iterate, alpha_init=None,
 def corrector_phase(problem, z: Iterate):
     """Re-center with up to R_C corrector steps; early exit once inside N(ETA).
 
-    Returns the last iterate and the number of steps taken; the last
-    iterate is outside N(ETA) when R_C steps did not suffice.
+    Each step takes the corrector direction's arc z + alpha d + alpha^2 d_adj
+    (``newton_direction``) at alpha = ALPHA_C, halved while the point leaves
+    the interior; the embedding residual is the same at every alpha. Returns
+    the last iterate and the number of steps taken; the last iterate is
+    outside N(ETA) when R_C steps did not suffice.
     """
     steps = 0
     while steps < R_C and not z.in_neighborhood(ETA):

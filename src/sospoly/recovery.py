@@ -129,11 +129,14 @@ def lower_bound_certificate(cone: InterpWSOSCone, iterate, c, lb,
     """Certificate that the polynomial with point values c - lb is WSOS.
 
     For bound problems (A = 1^T, dual objective y/tau), the target
-    c - lb splits as s/tau + (y/tau - lb) * 1 + dual residual. The first
-    part is recovered from the raw iterate, where the recovery pipeline is
-    most accurate; the constant shift is certified exactly by a rank-one
-    update in the final (unit-weight) block, whose column span must contain
-    the constant polynomial. Requires lb <= y/tau.
+    c - lb splits exactly as (tau c - y 1)/tau + (y/tau - lb) 1. The first
+    part, the exact dual slack of the bound, is recovered at the raw
+    iterate's x with delta = mu, where the recovery pipeline is most
+    accurate; it differs from the iterate's s by the dual residual, so the
+    certified residual sits at rounding level rather than at the scale of
+    mu. The constant shift is certified exactly by a rank-one update in the
+    final (unit-weight) block, whose column span must contain the constant
+    polynomial. Requires lb <= y/tau.
 
     Returns the certificate and the certified value vector c - lb.
     """
@@ -147,7 +150,8 @@ def lower_bound_certificate(cone: InterpWSOSCone, iterate, c, lb,
     q = cone.blocks[-1].T @ ones
     if np.max(np.abs(cone.blocks[-1] @ q - ones)) > 1e-10:
         raise ValueError("final block does not span the constant polynomial")
-    grams = [S / z.tau for S in _gram_blocks(cone, z.x, z.s, z.mu, barrier)]
+    slack = z.tau * np.asarray(c, dtype=float) - float(z.y[0]) * ones
+    grams = [S / z.tau for S in _gram_blocks(cone, z.x, slack, z.mu, barrier)]
     grams[-1] = grams[-1] + shift * np.outer(q, q)
     s_cert = np.asarray(c, dtype=float) - lb
     return _certificate(cone, grams, s_cert, z.mu / z.tau**2), s_cert

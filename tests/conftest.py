@@ -77,16 +77,17 @@ def envelope_small_k3():
 @pytest.fixture(scope="session")
 def ray_search_finals():
     """{k: (problem, final iterate)} of build_envelope(1, 5, k, seed=1) at
-    tolerance 1e-8, k = 2 and 3, solved with the predictor searching the
-    ray z + alpha d (adjustment right-hand side zero) without the stopping
-    rule: it takes the first accepted step of the schedule, with no walk
-    down to a shorter step that still meets the tolerance. Such a final
+    tolerance 1e-8, k = 2 and 3, solved with the predictor and the
+    corrector stepping along the ray z + alpha d (adjustment right-hand
+    sides zero) and the predictor without the stopping rule: it takes the
+    first accepted step of the schedule, with no walk down to a shorter
+    step that still meets the tolerance. Such a final
     step overshoots the tolerance, so the final iterates have Hessians
     singular to working precision, with eigenvalues of the formed sum below
     the barrier's diagonal shift."""
     predictor_step = sp.hsd.predictor_step
 
-    def zero_rhs(problem, z, d):
+    def zero_rhs(problem, z, d, predictor):
         k, N = problem.A.shape
         return np.zeros(k), np.zeros(N), 0.0, np.zeros(N), 0.0
 

@@ -543,6 +543,17 @@ def _predict(problem, z, monkeypatch, screen):
         return predictor_step(problem, z), verdicts, len(evaluated)
 
 
+def _first_late_screened_iterate(problem, iterations, monkeypatch):
+    """The first iterate of the second half of a solve of ``iterations``
+    iterations whose search, from the schedule's first entry, has a trial
+    that the screen rejects."""
+    for i in range((iterations + 1) // 2, iterations):
+        z = _iterate_after(problem, i)
+        if any(_predict(problem, z, monkeypatch, screen=True)[1]):
+            return z
+    raise AssertionError("the screen rejects no trial in the second half of the solve")
+
+
 @pytest.mark.parametrize("late", [False, True])
 def test_predictor_screen_changes_no_step(envelope_small, envelope_small_k3,
                                           monkeypatch, late):
@@ -551,13 +562,17 @@ def test_predictor_screen_changes_no_step(envelope_small, envelope_small_k3,
     # factors; a trial rejected at an early factor never evaluates the
     # later factors' barriers. Early is the iterate after one iteration:
     # from the start, k = 2 rejects its trials at the last factor only.
-    # Late is three iterations before the end, where the search's first
-    # trial (the step 0.9999) is still rejected; from k = 2's final iterate
-    # it is accepted at once.
+    # Late is picked by property, not by count: the first iterate of the
+    # solve's second half from which the screen rejects a trial. Near the
+    # end the search's first trials leave the cone or are accepted at once,
+    # and which iterates still see a rejection moves with the step rules.
     for k, inst in ((2, envelope_small), (3, envelope_small_k3)):
         problem = inst.built.problem
         assert len(problem.cone.factors) == k
-        z = _iterate_after(problem, inst.result.iterations - 3 if late else 1)
+        if late:
+            z = _first_late_screened_iterate(problem, inst.result.iterations, monkeypatch)
+        else:
+            z = _iterate_after(problem, 1)
         screened, verdicts, evaluated = _predict(problem, z, monkeypatch, screen=True)
         plain, _, evaluated_plain = _predict(problem, z, monkeypatch, screen=False)
         assert any(verdicts)  # the screen does reject, early and late
@@ -610,12 +625,8 @@ def _residual_vector(problem, point):
     return np.concatenate([r_p, r_d, [r_g]])
 
 
-@pytest.mark.parametrize("kind", ["envelope-2", "envelope-3", "polymin"])
-def test_adjustment_keeps_the_residual_shrink_on_the_arc(kind):
-    # criterion 7 along the predictor's arc: the third-order adjustment
-    # solves the linear rows with zero right-hand side, on the null-space
-    # path (m = 2 and 3) and the dense-LU path (polymin), so every trial
-    # z + alpha d + alpha^2 d_adj has embedding residual (1 - alpha) r(z)
+def _arc_problem(kind):
+    """An envelope with 2 or 3 identity blocks, or a polymin problem (A = 1^T)."""
     if kind == "polymin":
         poly = sp.chebyshev_poly(2, 4, np.linspace(-1.0, 1.0, sp.space_dim(2, 4)))
         problem = sp.build_polymin(poly).problem
@@ -623,7 +634,19 @@ def test_adjustment_keeps_the_residual_shrink_on_the_arc(kind):
     else:
         problem = sp.build_envelope(1, 6, int(kind[-1]), seed=2).problem
         assert problem.identity_blocks
-    for z in (initial_point(problem), _iterate_after(problem, 6)):
+    return problem
+
+
+@pytest.mark.parametrize("kind", ["envelope-2", "envelope-3", "polymin"])
+def test_adjustment_keeps_the_residual_shrink_on_the_arc(kind):
+    # criterion 7 along the predictor's arc: the third-order adjustment
+    # solves the linear rows with zero right-hand side, on the null-space
+    # path (m = 2 and 3) and the dense-LU path (polymin), so every trial
+    # z + alpha d + alpha^2 d_adj has embedding residual (1 - alpha) r(z);
+    # at the start and at the first iterate with mu <= 1e-5
+    problem = _arc_problem(kind)
+    late = _first_iterate_below(problem, sp.solve(problem).trace, 1e-5)
+    for z in (initial_point(problem), late):
         d = newton_direction(problem, z, "predictor")
         adj = d.adjustment
         assert adj is not None and adj.residual <= 1e-9
@@ -633,6 +656,62 @@ def test_adjustment_keeps_the_residual_shrink_on_the_arc(kind):
         for alpha in (0.1, 0.5, out.alpha, hsd.ALPHA_CAP):
             moved = _residual_vector(problem, hsd._stepped(z, d, alpha))
             assert np.linalg.norm(moved - (1.0 - alpha) * r) <= 1e-9 * (1 + np.linalg.norm(r))
+
+
+def _corrector_starts(problem, monkeypatch):
+    """The iterates of a whole solve that the predictor leaves outside
+    N(eta), where corrector phases start, in order."""
+    iterates = []
+    predictor = hsd.predictor_step
+
+    def recording(problem, z, alpha_init=None, params=None):
+        out = predictor(problem, z, alpha_init, params)
+        iterates.append(out.iterate)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(hsd, "predictor_step", recording)
+        assert sp.solve(problem).status == hsd.OPTIMAL
+    starts = [z for z in iterates if not z.in_neighborhood(hsd.ETA)]
+    assert starts
+    return starts
+
+
+@pytest.mark.parametrize("kind", ["envelope-2", "envelope-3", "polymin"])
+def test_corrector_adjustment_keeps_the_residual(kind, monkeypatch):
+    # criterion 7 through the corrector: its direction and its third-order
+    # adjustment both solve the linear rows with zero right-hand side, so
+    # corrector steps z + alpha d + alpha^2 d_adj leave the embedding
+    # residual where it was, from every iterate a corrector phase starts at
+    problem = _arc_problem(kind)
+    for z in _corrector_starts(problem, monkeypatch):
+        d = newton_direction(problem, z, "corrector")
+        adj = d.adjustment
+        assert adj is not None and adj.residual <= 1e-9
+        assert np.linalg.norm(_linear_rows(problem, adj)) <= 1e-9
+        r = _residual_vector(problem, (z.x, z.tau, z.y, z.s, z.kappa))
+        stepped, _ = corrector_phase(problem, z)
+        after = _residual_vector(problem, (stepped.x, stepped.tau, stepped.y,
+                                           stepped.s, stepped.kappa))
+        assert np.linalg.norm(after - r) <= 1e-9 * (1 + np.linalg.norm(r))
+
+
+def test_corrector_adjustment_lands_nearer_the_path(envelope_small, butcher_solved,
+                                                    monkeypatch):
+    # from every iterate the predictor leaves outside N(eta), the full
+    # corrector step on the adjusted arc ends at a smaller neighborhood
+    # norm than the step along the plain Newton ray z + d
+    a = hsd.ALPHA_C
+    for inst in (envelope_small, butcher_solved):
+        problem = inst.built.problem
+        for z in _corrector_starts(problem, monkeypatch):
+            d = newton_direction(problem, z, "corrector")
+            adjusted = hsd.try_make_iterate(problem, *hsd._stepped(z, d, a))
+            plain = hsd.try_make_iterate(problem, z.x + a * d.dx, z.tau + a * d.dtau,
+                                         z.y + a * d.dy, z.s + a * d.ds,
+                                         z.kappa + a * d.dkappa)
+            assert adjusted is not None and plain is not None
+            assert adjusted.nbhd_norm < plain.nbhd_norm
 
 
 def test_predictor_search_walks_down_to_the_last_trial_meeting_tolerance(monkeypatch):
@@ -926,8 +1005,8 @@ def test_nearly_infeasible_rows_at_1e_2_fail_numerically(perturbed_rows_problem)
     r = sp.solve(perturbed_rows_problem(1e-2))
     assert r.status == hsd.NUMERICAL_FAILURE
     assert r.message == ("corrector failed to reach N(eta) in 4 steps "
-                         "(norm 8.421e-19 vs 8.941e-20)")
-    assert r.iterations == 25
+                         "(norm 5.645e-16 vs 3.251e-17)")
+    assert r.iterations == 17
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])

@@ -329,11 +329,13 @@ def test_adjustment_rhs_is_the_path_second_order_term(tau, rel_dtau, u):
     # the complementarity rows of the predictor's adjustment are
     # mu (H dx - nabla^3 F[dx, dx] / 2) for x and, for the barrier -ln tau,
     # mu (dtau / tau^2 - T / 2) with T = -2 dtau^2 / tau^3; both third-order
-    # terms against central differences, the linear rows zero
+    # terms against central differences, the linear rows zero. The
+    # corrector's, at fixed mu, are the same rows without the terms of mu's
+    # decrease, mu H dx and mu dtau / tau^2
     z = hsd.make_iterate(SMALL_PROBLEM, START.x, tau, START.y, START.s, START.kappa)
     dx, dtau = z.x * u, tau * rel_dtau
     d = hsd.Direction(dx, dtau, np.zeros(K), np.zeros(N), 0.0, 0.0)
-    r1, r2, r3, r4, r5 = hsd._adjustment_rhs(SMALL_PROBLEM, z, d)
+    r1, r2, r3, r4, r5 = hsd._adjustment_rhs(SMALL_PROBLEM, z, d, True)
     assert not np.any(r1) and not np.any(r2) and r3 == 0.0
     barrier = SMALL_PROBLEM.cone.barrier
     want4 = z.mu * (z.barrier.hess_apply(dx) - 0.5 * _hess_times_d_slope(barrier, z.x, dx))
@@ -343,3 +345,9 @@ def test_adjustment_rhs_is_the_path_second_order_term(tau, rel_dtau, u):
     assert abs(t_tau + 2 * dtau**2 / tau**3) <= 1e-6 * (1e-12 + 2 * dtau**2 / tau**3)
     want5 = z.mu * (dtau / tau**2 - 0.5 * t_tau)
     assert abs(r5 - want5) <= 1e-6 * abs(want5)
+    c1, c2, c3, c4, c5 = hsd._adjustment_rhs(SMALL_PROBLEM, z, d, False)
+    assert not np.any(c1) and not np.any(c2) and c3 == 0.0
+    decrease = z.mu * z.barrier.hess_apply(dx)
+    assert (np.linalg.norm(r4 - c4 - decrease)
+            <= 1e-12 * (np.linalg.norm(r4) + np.linalg.norm(c4)))
+    assert abs(r5 - c5 - z.mu * dtau / tau**2) <= 1e-12 * z.mu * abs(dtau) / tau**2

@@ -247,6 +247,25 @@ def test_butcher_lower_bound_workflow(butcher_solved):
     assert report.adjoint_residual <= 1e-8 * (1 + np.linalg.norm(s_cert, np.inf))
 
 
+def test_constant_lower_bound_certificate_is_exact_to_rounding():
+    # the constant 4.25 at d = 1 solves in a few iterations, and its final
+    # mu sits near the 1e-8 tolerance. The certificate is recovered for the
+    # exact dual slack tau c - y 1 of the bound, not for the iterate's s,
+    # which differs from it by the dual residual (about 2 mu), so the
+    # certified residual sits at rounding level, not at the scale of mu
+    built = sp.build_polymin(sp.chebyshev_poly(1, 0, [4.25]), 1)
+    r = sp.solve(built.problem)
+    z, factor = r.final, built.cone.factors[0]
+    assert r.status == sp.hsd.OPTIMAL and z.mu > 1e-10
+    cert, s_cert = lower_bound_certificate(factor, z, built.problem.c,
+                                           r.dual_objective - 1e-9,
+                                           barrier=z.barrier.factor_evals[0])
+    report = verify_certificate(factor, s_cert, cert)
+    assert report.passed and min(cert.min_eigenvalues) > 0
+    assert report.adjoint_residual <= 1e-13 * (1 + np.max(np.abs(s_cert)))
+    assert report.adjoint_residual <= 1e-3 * z.mu
+
+
 def _split(a):
     """Veltkamp's split of a into hi + lo, each with at most 26 significant bits."""
     c = 134217729.0 * a  # 2^27 + 1

@@ -10,11 +10,13 @@ imported and left unchanged):
   tolerance 1e-6 (40 cone factors over seeds 1-10).
 
 For each population it prints the cone factors certified, the solver's
-iterations, predictor trials and corrector steps, the factors whose Gram
-blocks miss the adjoint identity to 1e-8 (1 + ||s||_2)
-(``checks.check_adjoint``), the factors ``verify_certificate`` rejects, the
-worst adjoint residual as a share of that limit, and the instances that
-fail another reference check (a status other than Optimal among them).
+iterations, predictor trials, corrector steps and Newton directions (one
+per iteration plus one per corrector step, each a factorization of the
+Newton system), the factors whose Gram blocks miss the adjoint identity to
+1e-8 (1 + ||s||_2) (``checks.check_adjoint``), the factors
+``verify_certificate`` rejects, the worst adjoint residual as a share of
+that limit, and the instances that fail another reference check (a status
+other than Optimal among them).
 BLAS runs on one thread, as in the benchmark. It exits 1 if any factor
 misses or is rejected or any instance fails a check.
 
@@ -81,6 +83,7 @@ def main() -> int:
         t = run_population(name)
         print(f"{name}: factors {t['factors']}, iterations {t['iterations']}, "
               f"trials {t['trials']}, corrector steps {t['corrector_steps']}, "
+              f"Newton directions {t['iterations'] + t['corrector_steps']}, "
               f"misses {t['misses']}, rejections {t['rejections']}, "
               f"worst ratio {t['worst_ratio']:.3g}, failed {len(t['failed'])}", flush=True)
         for line in t["failed"]:
