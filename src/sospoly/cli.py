@@ -1,8 +1,8 @@
 """Command-line front end: build/solve/certify workflows and file I/O.
 
 Exit codes: 0 optimal, 2 usage or schema error or an input too large to
-allocate, 3 conclusive non-optimal status (infeasible / ill-posed),
-4 numerical failure or iteration limit, 5 certificate verification failure.
+allocate, 3 primal or dual infeasible, 4 numerical failure, 5 certificate
+verification failure, 6 ill-posed, 7 iteration limit.
 The SOLVER_TOL environment variable overrides the default
 gap/infeasibility tolerance when the flags are absent.
 """
@@ -32,13 +32,15 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 EXIT_VERIFICATION = 5
+EXIT_ILL_POSED = 6
+EXIT_ITERATION_LIMIT = 7
 
 _STATUS_EXIT = {
     hsd.OPTIMAL: EXIT_OK,
     hsd.PRIMAL_INFEASIBLE: EXIT_INFEASIBLE,
     hsd.DUAL_INFEASIBLE: EXIT_INFEASIBLE,
-    hsd.ILL_POSED: EXIT_INFEASIBLE,
-    hsd.ITERATION_LIMIT: EXIT_NUMERICAL,
+    hsd.ILL_POSED: EXIT_ILL_POSED,
+    hsd.ITERATION_LIMIT: EXIT_ITERATION_LIMIT,
     hsd.NUMERICAL_FAILURE: EXIT_NUMERICAL,
 }
 

@@ -26,9 +26,10 @@ mu (dtau / tau^2 + dtau^2 / tau^3); for the corrector, at fixed mu,
 still shrinks to (1 - alpha) r(z) on the predictor's arc and stays r(z) on
 the corrector's, and the arcs bend along the path where the rays leave the
 neighborhood. The predictor's search takes the first accepted step of a
-fixed descending schedule, and walks down it while shorter trials still
-meet the stopping rule (``classify``), so the last step stops near the
-tolerance instead of overshooting it.
+fixed descending schedule. It decides the stopping rule first, on the
+stepped points alone (``classify_point``, no barrier): when the top entries
+meet it, the shortest of them is the first trial, so the last step stops
+near the tolerance instead of overshooting it.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ class TraceRecord:
     residual_after: float
     stalled: bool = False   # predictor found no step, or corrector ended outside N(ETA)
     corrected: bool = True  # False when the run ended right after this predictor
-    trials: int = 0         # predictor trials evaluated in this iteration
+    trials: int = 0         # predictor trials evaluated in full (not stopping-rule probes)
 
 
 @dataclass
@@ -559,6 +560,18 @@ def _step(problem, z: Iterate, d: Direction, alpha: float):
     return try_make_iterate(problem, *_stepped(z, d, alpha), screen=z)
 
 
+def _meets_stopping_rule(problem, z: Iterate, d: Direction, alpha: float,
+                         params: SolverParams) -> bool:
+    """Whether the point at alpha on d's arc has tau, kappa > 0 and a status.
+
+    The status is ``classify_point``'s, read from the point's fields alone:
+    no barrier is evaluated.
+    """
+    x, tau, y, s, kappa = _stepped(z, d, alpha)
+    return (tau > 0 and kappa > 0
+            and classify_point(problem, x, tau, y, s, kappa, params) is not None)
+
+
 @dataclass
 class PredictorOutcome:
     iterate: Iterate
@@ -575,49 +588,36 @@ def predictor_step(problem, z: Iterate, alpha_init=None,
     psi_i^T H_i^{-1} psi_i are each at most (BETA*mu)^2 (``Iterate.proximity``),
     not their sum: the per-factor proximity of Coey, Kapelevich and Vielma
     (Math. Prog. Comp. 2023). Trials sit at z + alpha d + alpha^2 d_adj
-    (``newton_direction``) and take the schedule's entries in order from
-    two entries above ``alpha_init``, the previously accepted step (from
-    the first entry without one). Each trial is screened against BETA
-    before its barrier Hessian is formed (``try_make_iterate``), which
-    changes no step. With
-    ``params``, an accepted trial that ``classify`` gives a status is
-    followed down the schedule while shorter trials are accepted and still
-    meet the stopping rule, and the last of them is returned: a longer step
-    would only push mu past the tolerance, toward Hessians singular to
-    working precision. A degenerate direction, or a rejection of the last
-    entry, is a stall; z is returned unchanged.
+    (``newton_direction``), and each is screened against BETA before its
+    barrier Hessian is formed (``try_make_iterate``), which changes no step.
+
+    With ``params``, the stopping rule is decided first, on the stepped
+    points alone: the schedule is scanned from its top entry for as long as
+    the point has tau, kappa > 0 and ``classify_point`` gives it a status.
+    If that run of entries is not empty, its shortest entry is the first
+    trial, so a last step does not push mu past the tolerance, toward
+    Hessians singular to working precision. Otherwise, or when that trial
+    is rejected, trials take the schedule's entries in order from two
+    entries above ``alpha_init``, the previously accepted step (from the
+    first entry without one), below the run. The first accepted trial is
+    returned. A degenerate direction, or a rejection of the last entry, is
+    a stall; z is returned unchanged.
     """
     direction = newton_direction(problem, z, "predictor")
     if direction.norm() == 0.0:
         return PredictorOutcome(z, 0.0, True)
-    trials = 0
-
-    def accept(a):
-        nonlocal trials
-        trials += 1
-        trial = _step(problem, z, direction, a)
-        if trial is not None and trial.proximity <= BETA * trial.mu:
-            return trial
-        return None
-
-    def stops(trial):
-        return params is not None and classify(problem, trial, params) is not None
-
+    run = 0
+    if params is not None:
+        while (run < len(STEP_SCHEDULE)
+               and _meets_stopping_rule(problem, z, direction, STEP_SCHEDULE[run], params)):
+            run += 1
     above = 0 if alpha_init is None else sum(a > alpha_init for a in STEP_SCHEDULE)
-    steps = iter(STEP_SCHEDULE[max(above - 2, 0):])
-    for alpha in steps:
-        best = accept(alpha)
-        if best is not None:
-            break
-    else:
-        return PredictorOutcome(z, 0.0, True, trials)
-    if stops(best):
-        for shorter in steps:
-            trial = accept(shorter)
-            if trial is None or not stops(trial):
-                break
-            alpha, best = shorter, trial
-    return PredictorOutcome(best, alpha, False, trials)
+    steps = STEP_SCHEDULE[run - 1:run] + STEP_SCHEDULE[max(above - 2, run):]
+    for trials, alpha in enumerate(steps, 1):
+        trial = _step(problem, z, direction, alpha)
+        if trial is not None and trial.proximity <= BETA * trial.mu:
+            return PredictorOutcome(trial, alpha, False, trials)
+    return PredictorOutcome(z, 0.0, True, len(steps))
 
 
 def corrector_phase(problem, z: Iterate):
@@ -644,37 +644,42 @@ def corrector_phase(problem, z: Iterate):
     return z, steps
 
 
-def _residuals(problem, z: Iterate):
-    """Relative primal and dual infeasibility and relative gap at z."""
+def _residuals(problem, x, tau, y, s):
+    """Relative primal and dual infeasibility and relative gap at (x, tau, y, s)."""
     b, c = problem.b, problem.c
-    by = float(b @ z.y)
-    rel_p = (np.linalg.norm(problem.matvec(z.x) - b * z.tau)
-             / (z.tau * (1.0 + np.linalg.norm(b))))
-    rel_d = (np.linalg.norm(problem.rmatvec(z.y) + z.s - c * z.tau)
-             / (z.tau * (1.0 + np.linalg.norm(c))))
-    rel_gap = (float(c @ z.x) - by) / (z.tau + abs(by))
+    by = float(b @ y)
+    rel_p = (np.linalg.norm(problem.matvec(x) - b * tau)
+             / (tau * (1.0 + np.linalg.norm(b))))
+    rel_d = (np.linalg.norm(problem.rmatvec(y) + s - c * tau)
+             / (tau * (1.0 + np.linalg.norm(c))))
+    rel_gap = (float(c @ x) - by) / (tau + abs(by))
     return rel_p, rel_d, rel_gap
 
 
 def classify(problem, z: Iterate, params: SolverParams):
     """Status decision for the current iterate, or None to keep iterating."""
-    rel_p, rel_d, rel_gap = _residuals(problem, z)
+    return classify_point(problem, z.x, z.tau, z.y, z.s, z.kappa, params)
+
+
+def classify_point(problem, x, tau, y, s, kappa, params: SolverParams):
+    """``classify`` from the point's fields alone, with no barrier."""
+    rel_p, rel_d, rel_gap = _residuals(problem, x, tau, y, s)
     if rel_p <= params.tol_infeas and rel_d <= params.tol_infeas and rel_gap <= params.tol_gap:
         return OPTIMAL
-    by = float(problem.b @ z.y)
-    if by > 0 and np.linalg.norm(problem.rmatvec(z.y) + z.s) <= params.tol_infeas * by:
+    by = float(problem.b @ y)
+    if by > 0 and np.linalg.norm(problem.rmatvec(y) + s) <= params.tol_infeas * by:
         return PRIMAL_INFEASIBLE
-    cx = float(problem.c @ z.x)
-    if -cx > 0 and np.linalg.norm(problem.matvec(z.x)) <= params.tol_infeas * (-cx):
+    cx = float(problem.c @ x)
+    if -cx > 0 and np.linalg.norm(problem.matvec(x)) <= params.tol_infeas * (-cx):
         return DUAL_INFEASIBLE
-    if z.mu < 1e-12 and z.tau < 1e-12:
+    if tau < 1e-12 and _mu(problem, x, tau, s, kappa) < 1e-12:
         return ILL_POSED
     return None
 
 
 def _result_from(problem, z: Iterate, status, trace, message=""):
     """The SolveResult at z: one iteration per trace record, trials summed over them."""
-    rel_p, rel_d, rel_gap = _residuals(problem, z)
+    rel_p, rel_d, rel_gap = _residuals(problem, z.x, z.tau, z.y, z.s)
     scale = z.tau if (status == OPTIMAL and z.tau > 0) else 1.0
     return SolveResult(
         status=status,

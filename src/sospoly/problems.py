@@ -43,6 +43,27 @@ def _magnetism(t):
     return t[:, 0] ** 2 + 2.0 * np.sum(t[:, 1:] ** 2, axis=1) - t[:, 0]
 
 
+def _robinson(t):
+    """Robinson's form dehomogenized: nonnegative on R^2 and not a sum of
+    squares; minimum 0 on [-1, 1]^2, attained at (+-1, +-1), (+-1, 0) and
+    (0, +-1) (R. M. Robinson, "Some definite polynomials which are not sums
+    of squares of real polynomials", Selected Questions of Algebra and Logic,
+    Nauka, 1973; zeros as listed by B. Reznick, "Some concrete aspects of
+    Hilbert's 17th problem", Contemp. Math. 253, 2000)."""
+    x2, y2 = t[:, 0] ** 2, t[:, 1] ** 2
+    return (x2 ** 3 + y2 ** 3 - x2 ** 2 * y2 - x2 * y2 ** 2 - x2 ** 2 - y2 ** 2
+            - x2 - y2 + 3.0 * x2 * y2 + 1.0)
+
+
+def _motzkin(t):
+    """Motzkin's polynomial: nonnegative on R^2 by the arithmetic-geometric
+    mean inequality on x^4 y^2, x^2 y^4 and 1, and not a sum of squares;
+    minimum 0 on [-2, 2]^2, attained at (+-1, +-1) (T. S. Motzkin, "The
+    arithmetic-geometric inequality", Inequalities, Academic Press, 1967)."""
+    x2, y2 = t[:, 0] ** 2, t[:, 1] ** 2
+    return x2 ** 2 * y2 + x2 * y2 ** 2 - 3.0 * x2 * y2 + 1.0
+
+
 _BUILTINS = {
     "butcher": (
         _butcher, 3,
@@ -51,6 +72,10 @@ _BUILTINS = {
     ),
     "caprasse": (_caprasse, 4, BoxDomain([-0.5] * 4, [0.5] * 4)),
     "magnetism": (_magnetism, 2, BoxDomain([-1.0] * 7, [1.0] * 7)),
+    # adversarial: minimum exactly 0 at several minimizers, some on the
+    # boundary or at corners
+    "robinson": (_robinson, 6, BoxDomain([-1.0] * 2, [1.0] * 2)),
+    "motzkin": (_motzkin, 6, BoxDomain([-2.0] * 2, [2.0] * 2)),
 }
 
 

@@ -80,7 +80,7 @@ def ray_search_finals():
     tolerance 1e-8, k = 2 and 3, solved with the predictor and the
     corrector stepping along the ray z + alpha d (adjustment right-hand
     sides zero) and the predictor without the stopping rule: it takes the
-    first accepted step of the schedule, with no walk down to a shorter
+    first accepted step of the schedule, with no probe for the shortest
     step that still meets the tolerance. Such a final
     step overshoots the tolerance, so the final iterates have Hessians
     singular to working precision, with eigenvalues of the formed sum below

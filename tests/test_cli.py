@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import sospoly as sp
-from sospoly import fileio, interpolation
+from sospoly import cli, fileio, interpolation
 from sospoly.cli import build_parser, main
 from sospoly.fileio import SchemaError
 
@@ -182,12 +182,57 @@ def _reject_constant(name):
 def test_iteration_limit_reports_finite_residuals_in_strict_json(tmp_path, capsys):
     out = tmp_path / "sol.json"
     assert main(["envelope", "--n", "1", "--d", "2", "--max-iters", "1",
-                 "--out", str(out)]) == 4
+                 "--out", str(out)]) == 7
     assert "IterationLimit" in capsys.readouterr().out
     with open(out) as fh:
         sol = json.load(fh, parse_constant=_reject_constant)
     assert sol["status"] == "IterationLimit"
     assert all(np.isfinite(v) for v in sol["residuals"].values())
+
+
+# the README's exit-code table, one row per solver status
+STATUS_EXITS = {
+    "Optimal": 0,
+    "PrimalInfeasible": 3,
+    "DualInfeasible": 3,
+    "NumericalFailure": 4,
+    "IllPosed": 6,
+    "IterationLimit": 7,
+}
+
+
+def test_every_status_has_a_documented_exit_code():
+    # the table covers every status the solver reports, and only the two
+    # infeasibility certificates share a code
+    statuses = {getattr(sp.hsd, name) for name in (
+        "OPTIMAL", "PRIMAL_INFEASIBLE", "DUAL_INFEASIBLE", "NUMERICAL_FAILURE",
+        "ILL_POSED", "ITERATION_LIMIT")}
+    assert set(STATUS_EXITS) == statuses and cli._STATUS_EXIT == STATUS_EXITS
+    codes = [STATUS_EXITS[s] for s in sorted(statuses) if not s.endswith("Infeasible")]
+    assert len(set(codes)) == len(codes) and STATUS_EXITS["PrimalInfeasible"] not in codes
+    readme = (SRC.parent / "README.md").read_text()
+    for status, code in STATUS_EXITS.items():
+        row = next(line for line in readme.splitlines()
+                   if line.startswith("| `") and f"`{status}`" in line)
+        assert row.rstrip().endswith(f"| {code} |")
+
+
+@pytest.mark.parametrize("status", sorted(STATUS_EXITS))
+def test_solve_exits_with_its_status_code(tmp_path, monkeypatch, capsys, status):
+    # a solve ending in ``status`` exits with the table's code, and the
+    # solution file records that status
+    solve = sp.hsd.solve
+
+    def ending_in(problem, params=None):
+        result = solve(problem, params)
+        result.status = status
+        return result
+
+    monkeypatch.setattr(sp.hsd, "solve", ending_in)
+    out = tmp_path / "sol.json"
+    assert main(["envelope", "--n", "1", "--d", "2", "--out", str(out)]) == STATUS_EXITS[status]
+    assert f"status: {status}" in capsys.readouterr().out
+    assert read_json(out)["status"] == status
 
 
 @pytest.mark.parametrize("argv", [

@@ -459,10 +459,15 @@ def test_step_schedule_descends_from_the_cap_to_the_floor():
 
 def _scheduled_search(monkeypatch, accepts, alpha_init=None, meets=lambda a: False):
     """predictor_step from small_problem's start, with every trial at step a
-    accepted when accepts(a) and meeting the stopping rule when meets(a);
-    the steps tried and the outcome."""
+    accepted when accepts(a) and the stepped point at a meeting the stopping
+    rule when meets(a); the steps probed against the rule, the steps tried
+    and the outcome."""
     problem = small_problem()
-    tried = []
+    probed, tried = [], []
+
+    def probe(problem, z, d, alpha, params):
+        probed.append(alpha)
+        return meets(alpha)
 
     def step(problem, z, d, alpha):
         tried.append(alpha)
@@ -470,10 +475,10 @@ def _scheduled_search(monkeypatch, accepts, alpha_init=None, meets=lambda a: Fal
             return None
         return SimpleNamespace(alpha=alpha, mu=1.0, proximity=0.0)
 
+    monkeypatch.setattr(hsd, "_meets_stopping_rule", probe)
     monkeypatch.setattr(hsd, "_step", step)
-    monkeypatch.setattr(hsd, "classify",
-                        lambda problem, t, params: hsd.OPTIMAL if meets(t.alpha) else None)
-    return tried, predictor_step(problem, initial_point(problem), alpha_init, SolverParams())
+    out = predictor_step(problem, initial_point(problem), alpha_init, SolverParams())
+    return probed, tried, out
 
 
 def _schedule_start(alpha_init):
@@ -485,10 +490,12 @@ def _schedule_start(alpha_init):
 
 @pytest.mark.parametrize("alpha_init", [None, 0.9999, 0.999, 0.97, 0.6, 0.3, 0.1])
 def test_predictor_returns_the_first_accepted_entry(monkeypatch, alpha_init):
-    # trials take consecutive schedule entries from two above the last
-    # accepted step, and the first accepted one is returned
-    tried, out = _scheduled_search(monkeypatch, lambda a: a <= 0.3, alpha_init)
+    # no stepped point meets the stopping rule, so the probe stops at the
+    # top entry; trials take consecutive schedule entries from two above
+    # the last accepted step, and the first accepted one is returned
+    probed, tried, out = _scheduled_search(monkeypatch, lambda a: a <= 0.3, alpha_init)
     start = _schedule_start(alpha_init)
+    assert probed == [hsd.ALPHA_CAP]
     assert tried == list(hsd.STEP_SCHEDULE[start:start + len(tried)])
     assert tried[-1] == out.alpha == out.iterate.alpha == min(0.3, hsd.STEP_SCHEDULE[start])
     assert not out.stalled and out.trials == len(tried)
@@ -496,26 +503,39 @@ def test_predictor_returns_the_first_accepted_entry(monkeypatch, alpha_init):
 
 @pytest.mark.parametrize("alpha_init", [None, hsd.ALPHA_CAP, 0.5, hsd.STEP_SCHEDULE[-1]])
 def test_predictor_never_tries_a_step_twice(monkeypatch, alpha_init):
-    # a search that accepts nothing tries each remaining entry once, and
-    # stalls only after the last
-    tried, out = _scheduled_search(monkeypatch, lambda a: False, alpha_init)
-    assert tried == list(hsd.STEP_SCHEDULE[_schedule_start(alpha_init):])
+    # the stepped points at the top four entries meet the stopping rule; a
+    # search that accepts nothing tries the shortest of them, then each
+    # entry below both the run and its start once, and stalls only after
+    # the last
+    probed, tried, out = _scheduled_search(monkeypatch, lambda a: False, alpha_init,
+                                           meets=lambda a: a >= 0.97)
+    run = hsd.STEP_SCHEDULE.index(0.97) + 1
+    assert probed == list(hsd.STEP_SCHEDULE[:run + 1])
+    assert tried == [0.97, *hsd.STEP_SCHEDULE[max(_schedule_start(alpha_init), run):]]
     assert len(tried) == len(set(tried))
     assert out.stalled and out.alpha == 0.0 and out.trials == len(tried)
 
 
-@pytest.mark.parametrize("accepts, returned, last_tried", [
-    (lambda a: a <= 0.9, 0.7, 0.6),                # the rule ends the walk
-    (lambda a: a <= 0.9 and a != 0.8, 0.85, 0.8),  # a rejection ends it
+@pytest.mark.parametrize("accepts, shortest, returned", [
+    (lambda a: True, 0.7, 0.7),        # the run's shortest entry is accepted
+    (lambda a: a != 0.7, 0.7, 0.6),    # it is rejected: the search goes below
+    (lambda a: a < 0.85, 0.85, 0.8),   # so are the longer entries, never tried
 ])
 def test_predictor_walks_down_while_the_stopping_rule_holds(monkeypatch, accepts,
-                                                            returned, last_tried):
-    # every trial at a step of at least 0.7 meets the stopping rule: from the
-    # first accepted one (0.9) the search walks down the schedule while the
-    # trials are accepted and meet the rule, and returns the last that does
-    tried, out = _scheduled_search(monkeypatch, accepts, meets=lambda a: a >= 0.7)
-    assert tried == list(hsd.STEP_SCHEDULE[:hsd.STEP_SCHEDULE.index(last_tried) + 1])
+                                                            shortest, returned):
+    # every stepped point at a step of at least ``shortest`` meets the
+    # stopping rule: the probe walks down the schedule while the rule holds,
+    # and the first trial is the run's shortest entry. Accepted, it is the
+    # search's only trial; rejected, the trials go on below the run and the
+    # first accepted one is returned
+    probed, tried, out = _scheduled_search(monkeypatch, accepts,
+                                           meets=lambda a: a >= shortest)
+    run = hsd.STEP_SCHEDULE.index(shortest) + 1
+    assert probed == list(hsd.STEP_SCHEDULE[:run + 1])
+    below = hsd.STEP_SCHEDULE[run:hsd.STEP_SCHEDULE.index(returned) + 1]
+    assert tried == [shortest, *below]
     assert out.alpha == out.iterate.alpha == returned and not out.stalled
+    assert out.trials == len(tried)
 
 
 def _predict(problem, z, monkeypatch, screen):
@@ -714,47 +734,72 @@ def test_corrector_adjustment_lands_nearer_the_path(envelope_small, butcher_solv
             assert adjusted.nbhd_norm < plain.nbhd_norm
 
 
-def test_predictor_search_walks_down_to_the_last_trial_meeting_tolerance(monkeypatch):
-    # butcher's last search, run to the largest step (0.9999), reaches mu
-    # near 2e-12, and the Gram certificate at that iterate misses the
-    # benchmark's adjoint identity, max |sum_i Lambda_i^*(S_i) - s| <=
-    # 1e-8 (1 + ||s||), by 3.6x. Once an accepted trial meets the stopping
-    # rule, the search walks down the schedule and returns the shortest
-    # step whose trial still meets it, so the solve ends there, and the
-    # certificate holds.
-    built = sp.build_polymin(sp.builtin_poly("butcher"))
-    problem, params = built.problem, SolverParams()
-    searches, outcomes = [], []
-    predictor, step = hsd.predictor_step, hsd._step
+def _recorded_searches(monkeypatch, step=None):
+    """Patches predictor_step, the stopping-rule probe and the trials (with
+    ``step`` in place of hsd._step, when given) to record each search: its
+    probes as (step, met), its trials as (step, trial) and its outcome."""
+    searches = []
+    predictor, probe = hsd.predictor_step, hsd._meets_stopping_rule
+    step = step or hsd._step
 
     def recording_predictor(problem, z, alpha_init=None, params=None):
-        searches.append([])
-        outcomes.append(predictor(problem, z, alpha_init, params))
-        return outcomes[-1]
+        searches.append(SimpleNamespace(probed=[], tried=[]))
+        searches[-1].out = predictor(problem, z, alpha_init, params)
+        return searches[-1].out
+
+    def recording_probe(problem, z, d, alpha, params):
+        met = probe(problem, z, d, alpha, params)
+        searches[-1].probed.append((alpha, met))
+        return met
 
     def recording_step(problem, z, d, alpha):
         trial = step(problem, z, d, alpha)
-        searches[-1].append(trial)
+        searches[-1].tried.append((alpha, trial))
         return trial
 
     monkeypatch.setattr(hsd, "predictor_step", recording_predictor)
+    monkeypatch.setattr(hsd, "_meets_stopping_rule", recording_probe)
     monkeypatch.setattr(hsd, "_step", recording_step)
+    return searches
+
+
+def _run_meeting_the_rule(search):
+    """The steps of a search's probe that met the stopping rule, after
+    checking that they are the schedule's top entries and that the probe
+    stopped at the first entry below them."""
+    run = [alpha for alpha, met in search.probed if met]
+    assert search.probed == [(alpha, True) for alpha in run] + [
+        (hsd.STEP_SCHEDULE[len(run)], False)]
+    assert run == list(hsd.STEP_SCHEDULE[:len(run)])
+    return run
+
+
+def test_predictor_search_walks_down_to_the_last_trial_meeting_tolerance(monkeypatch):
+    # in butcher's last search the stepped points at 0.9999 and 0.999 both
+    # meet the stopping rule. The probe walks down the schedule while the
+    # rule holds, and the search's one trial is the shortest step whose
+    # point still meets it (0.999, mu near 1e-9 rather than 1e-10), so the
+    # solve ends there without pushing mu past the tolerance, and the Gram
+    # certificate meets the benchmark's adjoint identity,
+    # max |sum_i Lambda_i^*(S_i) - s| <= 1e-8 (1 + ||s||).
+    built = sp.build_polymin(sp.builtin_poly("butcher"))
+    problem, params = built.problem, SolverParams()
+    searches = _recorded_searches(monkeypatch)
     r = sp.solve(problem, params)
     assert r.status == hsd.OPTIMAL and len(searches) == r.iterations
-    for i, (tried, out) in enumerate(zip(searches, outcomes)):
-        ok = [t is not None and t.proximity <= hsd.BETA * t.mu for t in tried]
-        met = [a and classify(problem, t, params) is not None for a, t in zip(ok, tried)]
-        if i < len(searches) - 1:
-            # the first accepted trial is returned, and it meets no rule
-            assert ok.index(True) == len(tried) - 1 and not any(met)
-            assert out.iterate is tried[-1]
-        else:
-            # the first accepted trial meets the rule; from there the search
-            # walks down while trials meet it and returns the last that
-            # does, so the last trial tried misses the rule or BETA
-            first = ok.index(True)
-            assert all(met[first:-1]) and not met[-1]
-            assert out.iterate is tried[-2] is r.final
+    for search in searches[:-1]:
+        # no point meets the rule, and the first accepted trial is returned
+        assert not _run_meeting_the_rule(search)
+        ok = [t is not None and t.proximity <= hsd.BETA * t.mu for _, t in search.tried]
+        assert ok.index(True) == len(ok) - 1
+        assert search.out.iterate is search.tried[-1][1]
+        assert classify(problem, search.out.iterate, params) is None
+    last = searches[-1]
+    run = _run_meeting_the_rule(last)
+    assert len(run) >= 2  # the step is shorter than the first that meets the rule
+    [(alpha, trial)] = last.tried
+    assert alpha == run[-1] == last.out.alpha and trial is last.out.iterate is r.final
+    assert classify(problem, trial, params) == hsd.OPTIMAL
     z = r.final
     for factor, ev in zip(built.cone.factors, z.barrier.factor_evals):
         cert, s = sp.lower_bound_certificate(factor, z, problem.c,
@@ -762,6 +807,67 @@ def test_predictor_search_walks_down_to_the_last_trial_meeting_tolerance(monkeyp
         adjoint = sum(np.einsum("ua,ab,ub->u", B, S, B)
                       for B, S in zip(factor.blocks, cert.grams))
         assert np.max(np.abs(adjoint - s)) <= 1e-8 * (1.0 + np.linalg.norm(s))
+
+
+def test_stopping_rule_probe_forms_no_barrier(envelope_small_k3, monkeypatch):
+    # the probe decides the stopping rule from the stepped point's fields:
+    # over a whole solve, every factor barrier a predictor search evaluates
+    # belongs to a trial, and the last search, which probes its run and the
+    # entry below it, evaluates the barriers of its one trial only
+    problem = envelope_small_k3.built.problem
+    searches = _recorded_searches(monkeypatch)
+    barriers, inside = [], []
+    step, factor_barrier = hsd._step, wsos.InterpWSOSCone.barrier
+
+    def marking_step(problem, z, d, alpha):
+        inside.append(True)
+        try:
+            return step(problem, z, d, alpha)
+        finally:
+            inside.pop()
+
+    def counting(self, x):
+        if searches and not hasattr(searches[-1], "out"):  # within a search
+            barriers.append((len(searches) - 1, bool(inside)))
+        return factor_barrier(self, x)
+
+    monkeypatch.setattr(hsd, "_step", marking_step)
+    monkeypatch.setattr(wsos.InterpWSOSCone, "barrier", counting)
+    r = sp.solve(problem)
+    assert r.status == hsd.OPTIMAL and len(searches) == r.iterations
+    assert barriers and all(in_trial for _, in_trial in barriers)
+    last = searches[-1]
+    assert len(last.probed) >= 2 and len(last.tried) == 1
+    assert sum(i == len(searches) - 1 for i, _ in barriers) == len(problem.cone.factors)
+
+
+def test_rejected_stopping_trial_continues_below_the_run(butcher_solved, monkeypatch):
+    # the first trial at the shortest step of a run meeting the stopping
+    # rule is rejected here: the search goes on below the run, tries no
+    # entry twice and returns an iterate that meets no rule, so the
+    # iteration is corrected and the solve goes on to stop Optimal later
+    problem, params = butcher_solved.built.problem, SolverParams()
+    forced = []
+    step = hsd._step
+
+    def rejecting_step(problem, z, d, alpha):
+        if not forced and any(met for _, met in searches[-1].probed):
+            forced.append(len(searches) - 1)
+            return None
+        return step(problem, z, d, alpha)
+
+    searches = _recorded_searches(monkeypatch, rejecting_step)
+    r = sp.solve(problem, params)
+    assert r.status == hsd.OPTIMAL and forced
+    i = forced[0]
+    search, rec = searches[i], r.trace[i]
+    run = _run_meeting_the_rule(search)
+    tried = [alpha for alpha, _ in search.tried]
+    assert run and tried[0] == run[-1] and all(a < run[-1] for a in tried[1:])
+    assert len(tried) == len(set(tried)) >= 2
+    assert search.out.alpha == tried[-1] and not search.out.stalled
+    assert classify(problem, search.out.iterate, params) is None
+    assert rec.corrected and i < r.iterations - 1 and rec.trials == len(tried)
 
 
 def test_trials_are_counted_per_iteration(envelope_small):

@@ -41,6 +41,38 @@ def test_caprasse_value_at_origin():
     assert f(np.zeros((1, 4)))[0] == 2.0
 
 
+@pytest.mark.parametrize("name, zeros", [
+    ("robinson", [(1, 1), (-1, 1), (1, -1), (-1, -1), (1, 0), (-1, 0), (0, 1), (0, -1)]),
+    ("motzkin", [(1, 1), (-1, 1), (1, -1), (-1, -1)]),
+])
+def test_adversarial_builtins_vanish_at_their_minimizers(name, zeros):
+    # exact zeros, in the box, and positive at the origin
+    f = builtin_poly(name)
+    pts = np.array(zeros, dtype=float)
+    assert f.box.contains(pts) and f.degree == 6
+    assert np.all(f(pts) == 0.0) and f(np.zeros((1, 2)))[0] == 1.0
+
+
+@pytest.mark.parametrize("name, d, tight", [
+    ("robinson", 3, False), ("robinson", 4, True), ("robinson", 6, True),
+    ("motzkin", 3, True), ("motzkin", 5, True),
+])
+def test_adversarial_builtin_bounds(name, d, tight):
+    # minimum exactly 0: the bound is Optimal, at most 0 and at most the
+    # grid oracle up to the solve tolerance, and within it of 0 where the
+    # relaxation is tight (Robinson at d = 3 is not: its bound is about -5e-3)
+    f = builtin_poly(name)
+    params = sp.SolverParams()
+    r = sp.solve(build_polymin(f, d).problem, params)
+    assert r.status == "Optimal"
+    tol = params.tol_gap
+    assert r.dual_objective <= min(0.0, grid_lower_bound_oracle(f)) + tol
+    if tight:
+        assert abs(r.dual_objective) <= tol
+    else:
+        assert r.dual_objective < -1e-3
+
+
 def test_unknown_builtin():
     with pytest.raises(KeyError):
         builtin_poly("rosenbrock")

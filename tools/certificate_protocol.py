@@ -10,11 +10,14 @@ imported and left unchanged):
   tolerance 1e-6 (40 cone factors over seeds 1-10).
 
 For each population it prints the cone factors certified, the solver's
-iterations, predictor trials, corrector steps and Newton directions (one
+iterations, predictor trials, corrector steps, Newton directions (one
 per iteration plus one per corrector step, each a factorization of the
-Newton system), the factors whose Gram blocks miss the adjoint identity to
-1e-8 (1 + ||s||_2) (``checks.check_adjoint``), the factors
-``verify_certificate`` rejects, the worst adjoint residual as a share of
+Newton system), factor barrier evaluations and factor Hessian stages
+(counted by wrapping ``wsos.InterpWSOSCone.barrier`` and
+``wsos.BarrierEval._form_derivatives``, which forms a factor's gradient and
+Hessian, during the solves only), the factors whose Gram blocks miss the
+adjoint identity to 1e-8 (1 + ||s||_2) (``checks.check_adjoint``), the
+factors ``verify_certificate`` rejects, the worst adjoint residual as a share of
 that limit, and the instances that fail another reference check (a status
 other than Optimal among them).
 BLAS runs on one thread, as in the benchmark. It exits 1 if any factor
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -39,25 +43,49 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 import numpy as np  # noqa: E402
 
 import sospoly as sp  # noqa: E402
+from sospoly import wsos  # noqa: E402
 import checks  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = range(1, 11)
+_COUNT_LOCK = threading.Lock()
 POPULATIONS = {
     "n1": lambda seed: workloads.envelope_instances(seed, 1, 100, 3, 1e-8, 102),
     "n3": workloads.WORKLOADS["envelope-3d"],
 }
 
 
+def _counting(counts: dict, key: str, fn):
+    """fn, adding one to counts[key] per call, from any thread (the Hessian
+    stage runs factors on a worker thread)."""
+    def counted(*args):
+        with _COUNT_LOCK:
+            counts[key] += 1
+        return fn(*args)
+    return counted
+
+
+def _counted_solve(problem, params, totals):
+    """sp.solve, adding its factor barrier evaluations and factor Hessian
+    stages to totals."""
+    barrier, form = wsos.InterpWSOSCone.barrier, wsos.BarrierEval._form_derivatives
+    wsos.InterpWSOSCone.barrier = _counting(totals, "barriers", barrier)
+    wsos.BarrierEval._form_derivatives = _counting(totals, "hessian_stages", form)
+    try:
+        return sp.solve(problem, params)
+    finally:
+        wsos.InterpWSOSCone.barrier, wsos.BarrierEval._form_derivatives = barrier, form
+
+
 def run_population(name: str) -> dict:
     """Totals over the population's instances for every seed."""
-    totals = dict(factors=0, iterations=0, trials=0, corrector_steps=0,
-                  misses=0, rejections=0, worst_ratio=0.0, failed=[])
+    totals = dict(factors=0, iterations=0, trials=0, corrector_steps=0, barriers=0,
+                  hessian_stages=0, misses=0, rejections=0, worst_ratio=0.0, failed=[])
     for seed in SEEDS:
         for inst in POPULATIONS[name](seed):
             built = workloads.build(inst)
             params = sp.SolverParams(tol_gap=inst.tol, tol_infeas=inst.tol)
-            result = sp.solve(built.problem, params)
+            result = _counted_solve(built.problem, params, totals)
             totals["iterations"] += result.iterations
             totals["trials"] += result.trials
             totals["corrector_steps"] += sum(rec.corrector_steps for rec in result.trace)
@@ -84,6 +112,8 @@ def main() -> int:
         print(f"{name}: factors {t['factors']}, iterations {t['iterations']}, "
               f"trials {t['trials']}, corrector steps {t['corrector_steps']}, "
               f"Newton directions {t['iterations'] + t['corrector_steps']}, "
+              f"factor barrier evaluations {t['barriers']}, "
+              f"factor Hessian stages {t['hessian_stages']}, "
               f"misses {t['misses']}, rejections {t['rejections']}, "
               f"worst ratio {t['worst_ratio']:.3g}, failed {len(t['failed'])}", flush=True)
         for line in t["failed"]:
