@@ -9,15 +9,21 @@ variables, which take effect only if numpy has not loaded its BLAS yet.
 
 The spare cores go to the cone factors instead: ``map_factors`` runs the
 per-factor work of a product cone with factor 0 in the calling thread and
-the others on a pool of one worker per further usable core. numpy's and
-scipy's BLAS and LAPACK calls release the GIL, so the factors overlap while
-each call still runs on one BLAS thread. ``extra_workers`` is 0, and
-everything runs in the caller, when one core is usable
-(``os.sched_getaffinity`` where the platform has it, as on Linux, and
-``os.cpu_count`` elsewhere) or when SOSPOLY_KEEP_BLAS_THREADS is set,
-because BLAS then threads itself. ``wsos.ProductBarrierEval.centrality``
-asks for it only when the cone has two or more factors and the smallest
-has at least ``wsos.CONCURRENT_MIN_U`` points.
+the others on a pool of one worker per further usable core. numpy's BLAS
+and LAPACK calls (matrix products, ``np.linalg.cholesky``) release the GIL,
+so those overlap while each still runs on one BLAS thread. scipy's wrappers
+do not: with scipy 1.17.1 on 2 cores, a Python loop beside a worker running
+``scipy.linalg.lapack.dpotrf``, ``scipy.linalg.blas.dtrsm`` or
+``solve_triangular`` at U = 1500 ran at 0.7-1.3 M iterations/s, against
+7-9 M/s beside numpy's ``cholesky`` or a matrix product. So the concurrent
+Hessian stage overlaps the forming and the Cholesky of each factor's
+Hessian, while the triangular solve of ``BarrierEval.inv_quadform`` holds
+the GIL. ``extra_workers`` is 0, and everything runs in the caller, when
+one core is usable (``os.sched_getaffinity`` where the platform has it, as
+on Linux, and ``os.cpu_count`` elsewhere) or when SOSPOLY_KEEP_BLAS_THREADS
+is set, because BLAS then threads itself.
+``wsos.ProductBarrierEval.centrality`` asks for it only when the cone has
+two or more factors and they are large (``wsos.ProductCone.large_factors``).
 """
 
 from __future__ import annotations

@@ -29,7 +29,10 @@ neighborhood. The predictor's search takes the first accepted step of a
 fixed descending schedule. It decides the stopping rule first, on the
 stepped points alone (``classify_point``, no barrier): when the top entries
 meet it, the shortest of them is the first trial, so the last step stops
-near the tolerance instead of overshooting it.
+near the tolerance instead of overshooting it. A trial goes through its
+cone factors one at a time and stops at the first whose term fails: small
+factors form their exact terms directly, large ones are first screened by
+a lower bound that needs no Hessian (``try_make_iterate``).
 """
 
 from __future__ import annotations
@@ -240,6 +243,11 @@ def make_iterate(problem, x, tau, y, s, kappa, barrier=None) -> Iterate:
     if mu <= 0:
         raise NotInteriorError("complementarity gap must stay positive")
     psi_x, terms = barrier.centrality(s, mu)
+    return _iterate(x, tau, y, s, kappa, barrier, mu, psi_x, terms)
+
+
+def _iterate(x, tau, y, s, kappa, barrier, mu, psi_x, terms) -> Iterate:
+    """The Iterate with the given barrier, mu and cone factors' terms."""
     psi_tau = kappa - mu / tau
     tau_term = (tau * psi_tau) ** 2
     norm = math.sqrt(sum(terms) + tau_term)
@@ -255,39 +263,56 @@ def try_make_iterate(problem, x, tau, y, s, kappa, screen=None):
     """The iterate at (x, tau, y, s, kappa), or None outside the interior.
 
     With ``screen``, the iterate a predictor trial steps from, it is also
-    None when a lower bound on one term of the proximity already exceeds
-    (BETA*mu)^2; such a point never forms or factors its barrier Hessian.
-    Any other point comes out exactly as make_iterate makes it.
+    None once one term of the proximity is known to exceed (BETA*mu)^2.
+    The tau term, exact, is checked before any barrier; the cone factors
+    then go one at a time, and the first that rejects spares the barriers
+    of the rest. Large factors (``ProductCone.large_factors``) are screened
+    by a lower bound before any Hessian is formed (``_screened_barrier``),
+    and the Hessian stage follows for a point that passes. Small factors
+    skip the screen, whose bound costs about half a Hessian stage there:
+    each forms its Hessian and exact term in turn (``_sequential_trial``).
+    Either way a point that is not rejected comes out exactly as
+    make_iterate makes it, so the screen changes no step.
     """
     try:
-        barrier = None
-        if screen is not None and tau > 0 and kappa > 0:
-            barrier = _screened_barrier(problem, screen, x, tau, s, kappa)
-            if barrier is None:
-                return None
+        if screen is None or tau <= 0 or kappa <= 0:
+            return make_iterate(problem, x, tau, y, s, kappa)
+        if not problem.cone.large_factors:
+            return _sequential_trial(problem, x, tau, y, s, kappa)
+        barrier = _screened_barrier(problem, screen, x, tau, s, kappa)
+        if barrier is None:
+            return None
         return make_iterate(problem, x, tau, y, s, kappa, barrier)
     except NotInteriorError:
         return None
 
 
+def _trial_mu(problem, x, tau, s, kappa):
+    """mu at a trial point, or None when mu <= 0 or the tau term, exact,
+    already exceeds (BETA*mu)^2."""
+    mu = _mu(problem, x, tau, s, kappa)
+    if mu <= 0 or math.sqrt((tau * (kappa - mu / tau)) ** 2) > BETA * mu:
+        return None
+    return mu
+
+
 def _screened_barrier(problem, z: Iterate, x, tau, s, kappa):
     """The barrier at x, or None once the proximity provably exceeds BETA*mu.
 
-    The proximity is the root of the largest of the tau term and the cone
-    factors' terms psi_i^T H_i^{-1} psi_i, so any one term above (BETA*mu)^2
-    rejects. The tau term is exact and is checked before any barrier. Then
-    each cone factor's barrier is evaluated in turn and its term
-    lower-bounded with z's cached Hessian factors as reference
-    (``BarrierEval.inv_quadform_lower_bound``), so the first factor whose
-    bound passes (BETA*mu)^2 (with a relative margin of 1e-6 for the
-    rounding in which the bounds differ from the exact terms) spares the
-    barriers of the rest. Raises NotInteriorError where a factor's barrier
-    does.
+    For large factors. The proximity is the root of the largest of the tau
+    term and the cone factors' terms psi_i^T H_i^{-1} psi_i, so any one
+    term above (BETA*mu)^2 rejects. The tau term is exact and is checked
+    before any barrier. Then each cone factor's barrier is evaluated in
+    turn and its term lower-bounded with z's cached Hessian factors as
+    reference (``BarrierEval.inv_quadform_lower_bound``, O(L_i^2 U) per
+    block), so the first factor whose bound passes (BETA*mu)^2 (with a
+    relative margin of 1e-6 for the rounding in which the bounds differ
+    from the exact terms) spares the barriers of the rest and every
+    Hessian. Raises NotInteriorError where a factor's barrier does.
     """
     x = np.asarray(x, dtype=float)
-    mu = _mu(problem, x, tau, s, kappa)
-    tau_term = (tau * (kappa - mu / tau)) ** 2
-    if math.sqrt(tau_term) > BETA * mu:
+    mu = _trial_mu(problem, x, tau, s, kappa)
+    if mu is None:
         return None
     cap = (1.0 + 1e-6) * (BETA * mu) ** 2
     cone = problem.cone
@@ -298,6 +323,37 @@ def _screened_barrier(problem, z: Iterate, x, tau, s, kappa):
             return None
         evals.append(ev)
     return ProductBarrierEval(cone, x, evals)
+
+
+def _sequential_trial(problem, x, tau, y, s, kappa):
+    """The trial iterate, or None at the first term above (BETA*mu)^2.
+
+    For small factors. After the tau term, each cone factor in turn forms
+    its barrier, gradient, Hessian and Cholesky factor and its exact term
+    psi_i^T H_i^{-1} psi_i, the operations of the sequential Hessian stage
+    (``ProductBarrierEval.centrality``), so an accepted point is bit for bit
+    make_iterate's. A factor whose term fails the test
+    ``proximity <= BETA * mu`` rejects the trial before any later factor's
+    barrier is evaluated. Raises NotInteriorError where a factor's barrier
+    or Hessian Cholesky does.
+    """
+    x = np.asarray(x, dtype=float)
+    mu = _trial_mu(problem, x, tau, s, kappa)
+    if mu is None:
+        return None
+    cone = problem.cone
+    evals, psis, terms = [], [], []
+    for factor, sl in zip(cone.factors, cone.slices()):
+        ev = factor.barrier(x[sl])
+        psi = s[sl] + mu * ev.gradient
+        term = ev.inv_quadform(psi)
+        if math.sqrt(term) > BETA * mu:
+            return None
+        evals.append(ev)
+        psis.append(psi)
+        terms.append(term)
+    barrier = ProductBarrierEval(cone, x, evals)
+    return _iterate(x, tau, y, s, kappa, barrier, mu, np.concatenate(psis), terms)
 
 
 def initial_point(problem: ConicProblem) -> Iterate:
@@ -556,7 +612,7 @@ def _stepped(z: Iterate, d: Direction, alpha: float):
 
 
 def _step(problem, z: Iterate, d: Direction, alpha: float):
-    """Predictor trial on d's arc, screened against BETA before its Hessian."""
+    """Predictor trial on d's arc, rejected at the first term above (BETA*mu)^2."""
     return try_make_iterate(problem, *_stepped(z, d, alpha), screen=z)
 
 
@@ -588,8 +644,9 @@ def predictor_step(problem, z: Iterate, alpha_init=None,
     psi_i^T H_i^{-1} psi_i are each at most (BETA*mu)^2 (``Iterate.proximity``),
     not their sum: the per-factor proximity of Coey, Kapelevich and Vielma
     (Math. Prog. Comp. 2023). Trials sit at z + alpha d + alpha^2 d_adj
-    (``newton_direction``), and each is screened against BETA before its
-    barrier Hessian is formed (``try_make_iterate``), which changes no step.
+    (``newton_direction``), and each is rejected at its first term above
+    (BETA*mu)^2, before the later factors' barriers (``try_make_iterate``),
+    which changes no step.
 
     With ``params``, the stopping rule is decided first, on the stepped
     points alone: the schedule is scanned from its top entry for as long as

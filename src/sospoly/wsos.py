@@ -292,10 +292,16 @@ def build_cone(pts: PointSet, weights, degs) -> InterpWSOSCone:
     return InterpWSOSCone(blocks, specs)
 
 
-# smallest factor size U at which a product cone's factors form and factor
-# their Hessians concurrently (ProductBarrierEval.centrality); set from
-# sweeps of the two-factor stage on 2 cores, each of which gained 1.6-1.8x
-# at U >= 378, while at U <= 351 some sweep gained nothing
+# smallest factor size U at which a product cone's factors count as large
+# (ProductCone.large_factors), which decides two things. Large factors form
+# and factor their Hessians concurrently (ProductBarrierEval.centrality):
+# sweeps of the two-factor stage on 2 cores each gained 1.6-1.8x at
+# U >= 378, while at U <= 351 some sweep gained nothing. And a predictor
+# trial screens large factors before their Hessians (hsd.try_make_iterate):
+# at n=1, L ~ U/2 makes the screen's O(sum_i L_i^2 U) bound cost about half
+# a Hessian stage, so on small factors it cost more than it spared
+# (envelope-1d, U = 201: 187 screen calls sparing 40 factor Hessian
+# stages), while envelope-3d (U = 455) keeps it
 CONCURRENT_MIN_U = 360
 
 
@@ -312,6 +318,11 @@ class ProductCone:
     @property
     def nu(self) -> int:
         return sum(f.nu for f in self.factors)
+
+    @property
+    def large_factors(self) -> bool:
+        """Whether every factor has at least CONCURRENT_MIN_U points."""
+        return min(f.U for f in self.factors) >= CONCURRENT_MIN_U
 
     def slices(self):
         return [slice(self.offsets[i], self.offsets[i + 1]) for i in range(len(self.factors))]
@@ -352,7 +363,7 @@ class ProductBarrierEval:
         This is the Hessian stage of an iterate, O(L_i U^2 + U^3) per factor:
         each factor's gradient and Hessian, its Cholesky factor and its term
         psi_i^T H_i^{-1} psi_i; the terms come back in factor order. With two
-        or more factors of at least CONCURRENT_MIN_U points the factors run
+        or more large factors (``ProductCone.large_factors``) they run
         concurrently (``_threads.map_factors``), each on the same
         floating-point operations as in sequence, so the result is bit for
         bit the sequential one. A factor outside the interior raises
@@ -365,8 +376,8 @@ class ProductBarrierEval:
             psi = s[slices[i]] + mu * evals[i].gradient
             return psi, evals[i].inv_quadform(psi)
 
-        small = min(f.U for f in self.cone.factors) < CONCURRENT_MIN_U
-        workers = 0 if small or len(evals) < 2 else _threads.extra_workers()
+        large = self.cone.large_factors and len(evals) > 1
+        workers = _threads.extra_workers() if large else 0
         terms = _threads.map_factors(stage, len(evals), workers)
         if workers:
             # arrays made on a worker thread sit in its malloc arena, where

@@ -153,8 +153,18 @@ def contradictory_rows_solved(perturbed_rows_problem):
 @pytest.fixture
 def sequential_factors(monkeypatch):
     """Cone factors evaluated in order on the calling thread, whatever their
-    size: for tests that inject faults by call order."""
+    size: for tests that inject faults by call order. Every factor counts
+    as small, so predictor trials skip the screen as well."""
     monkeypatch.setattr(sp.wsos, "CONCURRENT_MIN_U", math.inf)
+
+
+@pytest.fixture
+def screened_trials(monkeypatch):
+    """Predictor trials screened before their Hessians, as large factors'
+    are, whatever the factor size, with the factors still evaluated in
+    order on the calling thread."""
+    monkeypatch.setattr(sp.wsos, "CONCURRENT_MIN_U", 0)
+    monkeypatch.setattr(sp.wsos._threads, "extra_workers", lambda: 0)
 
 
 @pytest.fixture

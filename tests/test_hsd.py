@@ -576,11 +576,12 @@ def _first_late_screened_iterate(problem, iterations, monkeypatch):
 
 @pytest.mark.parametrize("late", [False, True])
 def test_predictor_screen_changes_no_step(envelope_small, envelope_small_k3,
-                                          monkeypatch, late):
+                                          monkeypatch, screened_trials, late):
     # the same step and bit-identical iterate with the screen as with a
     # screen that never rejects, early and late, for k = 2 and k = 3 cone
-    # factors; a trial rejected at an early factor never evaluates the
-    # later factors' barriers. Early is the iterate after one iteration:
+    # factors (small, screened here as large ones are); a trial rejected at
+    # an early factor never evaluates the later factors' barriers. Early is
+    # the iterate after one iteration:
     # from the start, k = 2 rejects its trials at the last factor only.
     # Late is picked by property, not by count: the first iterate of the
     # solve's second half from which the screen rejects a trial. Near the
@@ -606,10 +607,11 @@ def test_predictor_screen_changes_no_step(envelope_small, envelope_small_k3,
             assert getattr(screened.iterate, key) == getattr(plain.iterate, key)
 
 
-def test_every_screen_rejection_is_a_rejected_trial(monkeypatch):
-    # over a whole solve with three cone factors, every trial the screen
-    # rejects before its Hessian has, formed in full, a proximity above
-    # BETA mu: the screen bounds each term against (BETA mu)^2, never a sum
+def test_every_screen_rejection_is_a_rejected_trial(monkeypatch, screened_trials):
+    # over a whole solve with three cone factors (small, screened here as
+    # large ones are), every trial the screen rejects before its Hessian
+    # has, formed in full, a proximity above BETA mu: the screen bounds
+    # each term against (BETA mu)^2, never a sum
     problem = sp.build_envelope(1, 5, 3, seed=1).problem
     rejected = []
     screened_barrier = hsd._screened_barrier
@@ -626,6 +628,89 @@ def test_every_screen_rejection_is_a_rejected_trial(monkeypatch):
     for x, tau, s, kappa in rejected:
         trial = hsd.try_make_iterate(problem, x, tau, y, s, kappa)
         assert trial is None or trial.proximity > hsd.BETA * trial.mu
+
+
+def _counting_screen_calls(monkeypatch):
+    calls = []
+    bound = wsos.BarrierEval.inv_quadform_lower_bound
+
+    def counting(self, *args):
+        calls.append(1)
+        return bound(self, *args)
+
+    monkeypatch.setattr(wsos.BarrierEval, "inv_quadform_lower_bound", counting)
+    return calls
+
+
+def test_small_factor_trials_skip_the_screen(monkeypatch):
+    # below CONCURRENT_MIN_U points no trial of a whole solve is screened
+    problem = sp.build_envelope(1, 5, 3, seed=1).problem
+    assert not problem.cone.large_factors
+    calls = _counting_screen_calls(monkeypatch)
+    result = sp.solve(problem)
+    assert result.status == hsd.OPTIMAL and result.trials > result.iterations
+    assert calls == []
+
+
+def test_screen_forced_on_small_factors_changes_no_iterate(envelope_small, envelope_small_k3,
+                                                           monkeypatch, screened_trials):
+    # a whole small solve with its trials screened, as large factors' are,
+    # takes the default solve's steps to bit-identical iterates in as many
+    # trials (the session fixtures were solved before the screen was forced)
+    calls = _counting_screen_calls(monkeypatch)
+    for inst in (envelope_small, envelope_small_k3):
+        calls.clear()
+        plain, screened = inst.result, sp.solve(inst.built.problem)
+        assert calls  # the screen ran
+        assert plain.status == screened.status == hsd.OPTIMAL
+        assert plain.trials == screened.trials and plain.trace == screened.trace
+        for key in ("x", "y", "s"):
+            assert np.array_equal(getattr(plain, key), getattr(screened, key))
+
+
+def test_small_trial_stops_at_the_first_factor_that_fails(envelope_small_k3, monkeypatch):
+    # every trial of the first half of a k = 3 solve whose tau term passes:
+    # formed in full, its first factor with a term above (BETA mu)^2 is the
+    # last factor whose barrier the trial evaluates; with none, the trial is
+    # the iterate formed in full, bit for bit. Some trials fail at factor 0
+    # and evaluate no later factor's barrier. (The factors here are one
+    # cone object, so barrier calls are counted, not told apart.)
+    problem = envelope_small_k3.built.problem
+    slices = problem.cone.slices()
+    assert len(slices) == 3 and not problem.cone.large_factors
+    factor_barrier = wsos.InterpWSOSCone.barrier
+    evaluated = []
+
+    def counting(self, x):
+        evaluated.append(1)
+        return factor_barrier(self, x)
+
+    first_failures = []
+    for i in range(envelope_small_k3.result.iterations // 2 + 1):
+        z = _iterate_after(problem, i)
+        d = newton_direction(problem, z, "predictor")
+        for alpha in hsd.STEP_SCHEDULE[:12]:
+            point = hsd._stepped(z, d, alpha)
+            full = hsd.try_make_iterate(problem, *point)
+            if full is None or abs(full.tau * full.psi_tau) > hsd.BETA * full.mu:
+                continue
+            terms = [ev.inv_quadform(full.psi_x[sl])
+                     for ev, sl in zip(full.barrier.factor_evals, slices)]
+            failing = [j for j, q in enumerate(terms) if math.sqrt(q) > hsd.BETA * full.mu]
+            evaluated.clear()
+            with monkeypatch.context() as m:
+                m.setattr(wsos.InterpWSOSCone, "barrier", counting)
+                trial = hsd.try_make_iterate(problem, *point, screen=z)
+            if failing:
+                first_failures.append(failing[0])
+                assert trial is None
+                assert len(evaluated) == failing[0] + 1
+            else:
+                assert len(evaluated) == 3
+                assert np.array_equal(trial.x, full.x) and np.array_equal(trial.s, full.s)
+                assert trial.nbhd_norm == full.nbhd_norm
+                assert trial.proximity == full.proximity
+    assert 0 in first_failures and len(set(first_failures)) > 1
 
 
 def _linear_rows(problem, d):

@@ -64,7 +64,8 @@ def fresh_pool(monkeypatch):
 
 
 def run_concurrently(monkeypatch):
-    """Factors of any size run concurrently, with one worker besides the caller."""
+    """Factors of any size count as large: predictor trials are screened and
+    the Hessian stage runs concurrently, with one worker besides the caller."""
     monkeypatch.setattr(wsos, "CONCURRENT_MIN_U", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 

@@ -18,8 +18,11 @@ Newton system), factor barrier evaluations and factor Hessian stages
 Hessian, during the solves only), the factors whose Gram blocks miss the
 adjoint identity to 1e-8 (1 + ||s||_2) (``checks.check_adjoint``), the
 factors ``verify_certificate`` rejects, the worst adjoint residual as a share of
-that limit, and the instances that fail another reference check (a status
-other than Optimal among them).
+that limit, the worst ``verify_certificate`` margin (its certified residual
+as a share of its limit, 1e-8 (1 + ||s||_inf)) with the factor that holds
+it, and the instances that fail another reference check (a status other
+than Optimal among them). A margin near 1 is a rejection that rounding
+alone can bring about.
 BLAS runs on one thread, as in the benchmark. It exits 1 if any factor
 misses or is rejected or any instance fails a check.
 
@@ -80,7 +83,8 @@ def _counted_solve(problem, params, totals):
 def run_population(name: str) -> dict:
     """Totals over the population's instances for every seed."""
     totals = dict(factors=0, iterations=0, trials=0, corrector_steps=0, barriers=0,
-                  hessian_stages=0, misses=0, rejections=0, worst_ratio=0.0, failed=[])
+                  hessian_stages=0, misses=0, rejections=0, worst_ratio=0.0,
+                  worst_margin=(0.0, None), failed=[])
     for seed in SEEDS:
         for inst in POPULATIONS[name](seed):
             built = workloads.build(inst)
@@ -95,13 +99,16 @@ def run_population(name: str) -> dict:
             certs = workloads.certify(inst, built, result)
             wrong, _ = workloads.check(inst, built, result, certs)
             totals["failed"] += [f"{inst.name}: {m}" for m in wrong]
-            for factor, s, cert, report in certs:
+            for i, (factor, s, cert, report) in enumerate(certs):
                 resid = np.max(np.abs(checks.adjoint_sum(factor.blocks, cert.grams) - s))
                 ratio = float(resid) / (1e-8 * (1.0 + np.linalg.norm(s)))
                 totals["factors"] += 1
                 totals["misses"] += bool(checks.check_adjoint(factor.blocks, cert.grams, s))
                 totals["rejections"] += not report.passed
                 totals["worst_ratio"] = max(totals["worst_ratio"], ratio)
+                margin = report.adjoint_residual / (1e-8 * (1.0 + np.max(np.abs(s))))
+                if margin > totals["worst_margin"][0]:
+                    totals["worst_margin"] = (float(margin), f"{inst.name} factor {i}")
     return totals
 
 
@@ -115,7 +122,9 @@ def main() -> int:
               f"factor barrier evaluations {t['barriers']}, "
               f"factor Hessian stages {t['hessian_stages']}, "
               f"misses {t['misses']}, rejections {t['rejections']}, "
-              f"worst ratio {t['worst_ratio']:.3g}, failed {len(t['failed'])}", flush=True)
+              f"worst ratio {t['worst_ratio']:.3g}, "
+              f"worst margin {t['worst_margin'][0]:.3g} ({t['worst_margin'][1]}), "
+              f"failed {len(t['failed'])}", flush=True)
         for line in t["failed"]:
             print(f"  FAIL {line}")
         clean = clean and not (t["misses"] or t["rejections"] or t["failed"])
