@@ -98,6 +98,8 @@ def _write_solution(args, result: hsd.SolveResult) -> int:
 def cmd_points(args) -> int:
     family = args.family
     n = args.n
+    if args.format is not None and not args.out:
+        raise UsageError("--format sets the format of the --out file; give --out too")
     if args.d is None:
         raise UsageError(f"--d is required for the {family} family")
     if family in ("cheb1", "cheb2"):
@@ -219,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_points.add_argument("--n", type=int, default=None)
     p_points.add_argument("--d", type=int, default=None)
     p_points.add_argument("--box", help="JSON [[lo,hi],...] to rescale onto")
-    p_points.add_argument("--format", choices=["json", "csv"], default="json")
+    p_points.add_argument("--format", choices=["json", "csv"], default=None,
+                          help="format of the --out file (default json)")
     add_common(p_points, solver=False)
     p_points.set_defaults(func=cmd_points)
 

@@ -10,7 +10,6 @@ exponent tuple).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -107,11 +106,22 @@ def space_dim(n: int, deg: int) -> int:
     return math.comb(n + deg, n)
 
 
+def _exponents_of_degree(n: int, k: int) -> list[tuple[int, ...]]:
+    """The n-component multi-indices of total degree exactly k, in lexicographic order."""
+    if n == 1:
+        return [(k,)]
+    return [(a,) + rest for a in range(k + 1) for rest in _exponents_of_degree(n - 1, k - a)]
+
+
 def graded_lex_exponents(n: int, deg: int) -> list[tuple[int, ...]]:
-    """Multi-indices |alpha| <= deg sorted by total degree, then lexicographically."""
-    idx = [a for a in itertools.product(range(deg + 1), repeat=n) if sum(a) <= deg]
-    idx.sort(key=lambda a: (sum(a), a))
-    return idx
+    """Multi-indices |alpha| <= deg sorted by total degree, then lexicographically.
+
+    Each total degree's indices are generated directly in lexicographic
+    order (first component ascending, the rest recursively), so the cost is
+    O(n dim V) rather than a filter and sort over the (deg+1)^n tuples of
+    the box; the list is the one that filter and sort returns.
+    """
+    return [a for k in range(deg + 1) for a in _exponents_of_degree(n, k)]
 
 
 def cheb1_points(d: int) -> PointSet:
@@ -160,14 +170,21 @@ def scale_to_box(pts: PointSet, box: BoxDomain) -> PointSet:
 
 
 def _cheb_values_1d(t: np.ndarray, deg: int) -> np.ndarray:
-    """T_0..T_deg at each entry of t via the three-term recurrence; shape (deg+1, len(t))."""
+    """T_0..T_deg at each entry of t via the three-term recurrence; shape (deg+1, len(t)).
+
+    Each step is T_i = (2t) T_{i-1} - T_{i-2}, written into its row with no
+    temporary. 2t is formed once; doubling is exact, so every row has the
+    bits of the expression 2.0 * t * T_{i-1} - T_{i-2}.
+    """
     t = np.asarray(t, dtype=float)
     out = np.empty((deg + 1, t.size))
     out[0] = 1.0
     if deg >= 1:
         out[1] = t
+    two_t = 2.0 * t
     for i in range(2, deg + 1):
-        out[i] = 2.0 * t * out[i - 1] - out[i - 2]
+        np.multiply(two_t, out[i - 1], out=out[i])
+        out[i] -= out[i - 2]
     return out
 
 
@@ -175,15 +192,23 @@ def _basis_rows(points: np.ndarray, box: BoxDomain, deg: int, out: np.ndarray) -
     """Fill ``out``, shape (dim V_{n,deg}, M), with the transposed basis values.
 
     Row j of ``out`` holds T_alpha at the M points for the j-th graded-lex
-    alpha, filled in place as the left-to-right product of rows of
-    per-coordinate Chebyshev tables, one contiguous row at a time.
+    alpha: the left-to-right product of the per-coordinate Chebyshev rows
+    T_{alpha_k}(t_k) with alpha_k > 0. T_0 is exactly 1.0, so leaving its
+    factors out changes no bit of the product of all n factors. The product
+    over alpha's nonzero factors but its last is the row of alpha with that
+    last exponent zeroed, a lower total degree filled earlier (the row of
+    ones for a single factor, an exact product), so each row costs one
+    multiplication of contiguous rows.
     """
     unit_pts = box.to_unit(points)
     tables = [_cheb_values_1d(unit_pts[:, k], deg) for k in range(box.n)]
-    for row, alpha in zip(out, graded_lex_exponents(box.n, deg)):
-        row[:] = tables[0][alpha[0]]
-        for table, a in zip(tables[1:], alpha[1:]):
-            row *= table[a]
+    exponents = graded_lex_exponents(box.n, deg)
+    index = {alpha: j for j, alpha in enumerate(exponents)}
+    out[0] = 1.0  # alpha = 0
+    for row, alpha in zip(out[1:], exponents[1:]):
+        k = max(i for i, a in enumerate(alpha) if a)
+        prefix = alpha[:k] + (0,) * (box.n - k)
+        np.multiply(out[index[prefix]], tables[k][alpha[k]], out=row)
 
 
 def cheb_basis_values(points: np.ndarray, box: BoxDomain, deg: int) -> np.ndarray:
@@ -292,10 +317,13 @@ def orthonormalize(M: np.ndarray) -> np.ndarray:
 
     Raises UnisolvencyError when a diagonal entry of R falls below
     1e-12 * ||M||_2, signaling rank deficiency (non-unisolvent points).
+    ||M||_2 = ||QR||_2 = ||R||_2, since Q has orthonormal columns, so the
+    norm is taken from the L x L factor R instead of an SVD of the U x L
+    matrix M; Q, the returned matrix, is unchanged.
     """
     M = np.asarray(M, dtype=float)
     Q, R = np.linalg.qr(M)
-    scale = np.linalg.norm(M, 2)
+    scale = np.linalg.norm(R, 2)
     if np.abs(np.diag(R)).min() < 1e-12 * scale:
         raise UnisolvencyError("rank-deficient basis matrix: points not unisolvent")
     return Q
@@ -314,18 +342,20 @@ def box_quadrature_weights(pts: PointSet, deg: int) -> np.ndarray:
 
     Solves V^T w = m by moment matching, where V is the Chebyshev Vandermonde
     at the points and m holds the exact tensor Chebyshev moments over the box.
-    One code path serves Chebyshev, Padua, and Fekete point families.
+    One code path serves Chebyshev, Padua, and Fekete point families. The
+    moment of T_alpha is prod_k mom1d[alpha_k] * halfwidth_k, taken for every
+    alpha at once as one product along the rows of the (dim V, n) table of
+    factors, which multiplies each row's factors in the order a per-index
+    np.prod does.
     """
     V = cheb_vandermonde(pts, deg)
     if V.shape[0] != V.shape[1]:
         raise UnisolvencyError(
             f"need exactly dim V_(n,deg) = {V.shape[1]} points, got {V.shape[0]}"
         )
-    mom1d = _cheb_moments_1d(deg)
+    exponents = np.array(graded_lex_exponents(pts.n, deg))
     halfwidth = (pts.box.upper - pts.box.lower) / 2.0
-    m = np.empty(V.shape[1])
-    for j, alpha in enumerate(graded_lex_exponents(pts.n, deg)):
-        m[j] = np.prod([mom1d[a] * halfwidth[k] for k, a in enumerate(alpha)])
+    m = np.prod(_cheb_moments_1d(deg)[exponents] * halfwidth, axis=1)
     try:
         w = np.linalg.solve(V.T, m)
     except np.linalg.LinAlgError as exc:

@@ -144,8 +144,9 @@ class BarrierEval:
     """Barrier data at one interior point, with cached factorizations.
 
     Each block's V = L^{-1} Ptilde^T is kept in ``_halves`` for the life of
-    the evaluation: the gradient and Hessian are formed from them on first
-    read, ``inv_quadform_lower_bound`` bounds the local norm from them
+    the evaluation: the gradient and the Hessian are each formed from them
+    on first read, one without the other (the start reads only the
+    gradient), ``inv_quadform_lower_bound`` bounds the local norm from them
     alone, and ``third_order`` applies the third derivative with them.
     """
 
@@ -158,13 +159,19 @@ class BarrierEval:
     _hessian: np.ndarray = None
     _hess_chol: np.ndarray = None
 
-    def _form_derivatives(self):
+    def _form_gradient(self):
+        """g = -sum_i colsum(V_i∘V_i), O(sum_i L_i U): no Hessian is formed."""
+        grad = np.zeros(self.cone.U)
+        for V in self._halves:
+            grad -= np.einsum("ij,ij->j", V, V)  # as inv_quadform_lower_bound sums it
+        self._gradient = grad
+
+    def _form_hessian(self):
+        """H + eps I with H = sum_i (V_i^T V_i)∘(V_i^T V_i), O(sum_i L_i U^2)."""
         U = self.cone.U
-        grad = np.zeros(U)
         hess = np.zeros((U, U))
         Q = np.empty_like(hess)  # the one U x U temporary, reused per block
         for V in self._halves:
-            grad -= np.einsum("ij,ij->j", V, V)  # as inv_quadform_lower_bound sums it
             np.matmul(V.T, V, out=Q)  # Ptilde Lambda(x)^{-1} Ptilde^T
             np.multiply(Q, Q, out=Q)
             hess += Q
@@ -172,18 +179,18 @@ class BarrierEval:
         # positive definiteness at late iterates; one shift at the scale of
         # that rounding makes the Hessian every caller reads H + eps I
         hess.flat[::U + 1] += HESS_SHIFT * float(np.mean(np.diag(hess)))
-        self._gradient, self._hessian = grad, hess
+        self._hessian = hess
 
     @property
     def gradient(self) -> np.ndarray:
         if self._gradient is None:
-            self._form_derivatives()
+            self._form_gradient()
         return self._gradient
 
     @property
     def hessian(self) -> np.ndarray:
         if self._hessian is None:
-            self._form_derivatives()
+            self._form_hessian()
         return self._hessian
 
     @property
@@ -266,10 +273,14 @@ def build_cone(pts: PointSet, weights, degs) -> InterpWSOSCone:
     length-U array of precomputed values; values must be nonnegative at every
     point (zero rows at boundary points of the domain are accepted). For each
     block the Chebyshev Vandermonde of the stated degree is orthonormalized
-    and row-scaled by sqrt of the weight values.
+    and row-scaled by sqrt of the weight values. Blocks of equal degree share
+    one orthonormal basis, filled and factored once per call: the basis
+    depends only on the points and the degree, so each block has the bits it
+    would have with a QR of its own.
     """
     if len(weights) != len(degs):
         raise ConeConstructionError("need one degree per weight")
+    bases = {}
     blocks = []
     specs = []
     for i, (w, deg) in enumerate(zip(weights, degs)):
@@ -286,8 +297,9 @@ def build_cone(pts: PointSet, weights, degs) -> InterpWSOSCone:
                 "points are not inside the weight's domain"
             )
         vals = np.clip(vals, 0.0, None)  # round-off at boundary points
-        P = orthonormalize(cheb_vandermonde(pts, deg))
-        blocks.append(np.sqrt(vals)[:, None] * P)
+        if deg not in bases:
+            bases[deg] = orthonormalize(cheb_vandermonde(pts, deg))
+        blocks.append(np.sqrt(vals)[:, None] * bases[deg])
         specs.append(WeightSpec(label, vals, deg))
     return InterpWSOSCone(blocks, specs)
 

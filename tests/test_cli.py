@@ -75,6 +75,13 @@ def test_points_csv_format(tmp_path):
     assert len(out.read_text().strip().splitlines()) == 3
 
 
+def test_points_format_without_out_is_a_usage_error(capsys):
+    assert main(["points", "--family", "cheb1", "--d", "2", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert "--out" in captured.err
+    assert captured.out == ""  # refused before any point set is made
+
+
 def test_points_box_rescale(tmp_path):
     out = tmp_path / "pts.json"
     assert main(["points", "--family", "cheb2", "--d", "2", "--out", str(out),

@@ -274,6 +274,20 @@ def test_orthonormalize_rank_deficient_raises():
         orthonormalize(M)
 
 
+@pytest.mark.parametrize("col_scale, raises", [(0.0, True), (1e-14, True), (1e-10, False)])
+def test_orthonormalize_threshold_is_relative_to_the_2_norm(col_scale, raises):
+    # one column shrunk to col_scale of the others: a diagonal entry of R
+    # below 1e-12 ||M||_2 is rank deficiency; the returned Q is the QR's own
+    rng = np.random.default_rng(11)
+    M = 1e3 * rng.standard_normal((30, 5))
+    M[:, 2] *= col_scale
+    if raises:
+        with pytest.raises(UnisolvencyError):
+            orthonormalize(M)
+    else:
+        assert np.array_equal(orthonormalize(M), np.linalg.qr(M)[0])
+
+
 # ----------------------------------------------------------------------
 # quadrature weights
 
@@ -345,3 +359,76 @@ def test_cheb_basis_values_arbitrary_points_match_vandermonde():
     V = cheb_basis_values(raw, box, 3)
     assert V.flags.c_contiguous
     np.testing.assert_allclose(V, cheb_vandermonde(PointSet(raw, box), 3), atol=0)
+
+
+# ----------------------------------------------------------------------
+# the build layer, bit for bit against the direct definitions
+
+
+def reference_graded_lex(n, deg):
+    """The definition: every tuple of the box, filtered and sorted."""
+    idx = [a for a in itertools.product(range(deg + 1), repeat=n) if sum(a) <= deg]
+    idx.sort(key=lambda a: (sum(a), a))
+    return idx
+
+
+def reference_basis_values(points, box, deg):
+    """All n Chebyshev factors of each T_alpha, T_0 included, multiplied left
+    to right, with tables from the recurrence 2.0 * t * T_{i-1} - T_{i-2}."""
+    unit = box.to_unit(points)
+    tables = []
+    for t in unit.T:
+        table = [np.ones_like(t), t.copy()]
+        for i in range(2, deg + 1):
+            table.append(2.0 * t * table[i - 1] - table[i - 2])
+        tables.append(table)
+    cols = []
+    for alpha in reference_graded_lex(box.n, deg):
+        col = tables[0][alpha[0]].copy()
+        for table, a in zip(tables[1:], alpha[1:]):
+            col = col * table[a]
+        cols.append(col)
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_graded_lex_matches_filter_and_sort(n):
+    for deg in range(9):
+        assert graded_lex_exponents(n, deg) == reference_graded_lex(n, deg)
+
+
+@pytest.mark.parametrize("n, deg", [(1, 12), (2, 7), (3, 6), (6, 4)])
+def test_cheb_basis_values_match_the_all_factor_product(n, deg):
+    rng = np.random.default_rng(n)
+    lower = rng.uniform(-2.0, 0.0, n)
+    box = BoxDomain(lower, lower + rng.uniform(0.5, 3.0, n))
+    points = box.from_unit(rng.uniform(-1.0, 1.0, (50, n)))
+    assert np.array_equal(cheb_basis_values(points, box, deg),
+                          reference_basis_values(points, box, deg))
+
+
+def test_fekete_candidate_fill_matches_the_all_factor_product():
+    # the Leja points come from the LU of this fill, so equal bits here are
+    # the same points; n=6, deg=4 is butcher's 15,625 x 210 fill
+    n, deg = 6, 4
+    axis = np.cos(np.arange(deg + 1) * np.pi / deg)
+    grid = np.array(list(itertools.product(axis, repeat=n)))
+    box = BoxDomain.unit(n)
+    assert np.array_equal(cheb_basis_values(grid, box, deg),
+                          reference_basis_values(grid, box, deg))
+
+
+@pytest.mark.parametrize("pts, deg", [
+    (scale_to_box(cheb2_points(12), BoxDomain([0.5], [3.0])), 12),
+    (scale_to_box(padua_points(6), BoxDomain([-2.0, 0.0], [1.0, 0.25])), 6),
+    (points_for_degree(3, 4, BoxDomain([-1.0, 0.0, 2.0], [3.0, 1.0, 2.5])), 4),
+])
+def test_quadrature_weights_match_the_per_index_moment_loop(pts, deg):
+    from sospoly.interpolation import _cheb_moments_1d
+
+    mom = _cheb_moments_1d(deg)
+    halfwidth = (pts.box.upper - pts.box.lower) / 2.0
+    m = np.array([np.prod([mom[a] * halfwidth[k] for k, a in enumerate(alpha)])
+                  for alpha in reference_graded_lex(pts.n, deg)])
+    V = reference_basis_values(pts.points, pts.box, deg)
+    assert np.array_equal(box_quadrature_weights(pts, deg), np.linalg.solve(V.T, m))

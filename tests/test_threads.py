@@ -117,13 +117,13 @@ def test_concurrent_factors_change_no_bit(monkeypatch, fresh_pool, n, d, k):
     sequential = solve_envelope(n, d, k)  # U = 25 and 45: below the gate
     assert _threads._pool is None
     on_caller = []
-    form = wsos.BarrierEval._form_derivatives
+    form = wsos.BarrierEval._form_hessian
 
     def recording(ev):
         on_caller.append(threading.current_thread() is threading.main_thread())
         return form(ev)
 
-    monkeypatch.setattr(wsos.BarrierEval, "_form_derivatives", recording)
+    monkeypatch.setattr(wsos.BarrierEval, "_form_hessian", recording)
     run_concurrently(monkeypatch)
     concurrent = solve_envelope(n, d, k)
     assert True in on_caller and False in on_caller  # caller and worker both formed

@@ -7,7 +7,12 @@ import scipy.linalg
 
 import sospoly as sp
 from sospoly.hsd import initial_point, try_make_iterate
-from sospoly.interpolation import cheb2_points, points_for_degree
+from sospoly.interpolation import (
+    cheb2_points,
+    cheb_vandermonde,
+    orthonormalize,
+    points_for_degree,
+)
 from sospoly.wsos import (
     HESS_SHIFT,
     ConeConstructionError,
@@ -44,6 +49,19 @@ def boxed_cone(n, d):
 
 # ----------------------------------------------------------------------
 # construction
+
+
+@pytest.mark.parametrize("n, d", [(1, 6), (2, 4), (3, 3)])
+def test_blocks_match_one_orthonormalization_per_block(n, d):
+    box = sp.BoxDomain(-np.arange(1.0, n + 1), np.full(n, 2.0))
+    pts = points_for_degree(n, 2 * d, box)
+    weights = sp.problems._box_weights(box)
+    degs = [d - 1] * n + [d]
+    cone = build_cone(pts, weights, degs)
+    for B, w, deg in zip(cone.blocks, weights, degs, strict=True):
+        P = orthonormalize(cheb_vandermonde(pts, deg))
+        vals = np.clip(np.asarray(w(pts.points), dtype=float), 0.0, None)
+        assert np.array_equal(B, np.sqrt(vals)[:, None] * P)
 
 
 def test_envelope_cone_block_sizes():

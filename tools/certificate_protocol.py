@@ -14,8 +14,8 @@ iterations, predictor trials, corrector steps, Newton directions (one
 per iteration plus one per corrector step, each a factorization of the
 Newton system), factor barrier evaluations and factor Hessian stages
 (counted by wrapping ``wsos.InterpWSOSCone.barrier`` and
-``wsos.BarrierEval._form_derivatives``, which forms a factor's gradient and
-Hessian, during the solves only), the factors whose Gram blocks miss the
+``wsos.BarrierEval._form_hessian``, which forms a factor's Hessian, during
+the solves only), the factors whose Gram blocks miss the
 adjoint identity to 1e-8 (1 + ||s||_2) (``checks.check_adjoint``), the
 factors ``verify_certificate`` rejects, the worst adjoint residual as a share of
 that limit, the worst ``verify_certificate`` margin (its certified residual
@@ -71,13 +71,13 @@ def _counting(counts: dict, key: str, fn):
 def _counted_solve(problem, params, totals):
     """sp.solve, adding its factor barrier evaluations and factor Hessian
     stages to totals."""
-    barrier, form = wsos.InterpWSOSCone.barrier, wsos.BarrierEval._form_derivatives
+    barrier, form = wsos.InterpWSOSCone.barrier, wsos.BarrierEval._form_hessian
     wsos.InterpWSOSCone.barrier = _counting(totals, "barriers", barrier)
-    wsos.BarrierEval._form_derivatives = _counting(totals, "hessian_stages", form)
+    wsos.BarrierEval._form_hessian = _counting(totals, "hessian_stages", form)
     try:
         return sp.solve(problem, params)
     finally:
-        wsos.InterpWSOSCone.barrier, wsos.BarrierEval._form_derivatives = barrier, form
+        wsos.InterpWSOSCone.barrier, wsos.BarrierEval._form_hessian = barrier, form
 
 
 def run_population(name: str) -> dict:
