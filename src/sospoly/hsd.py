@@ -30,9 +30,10 @@ fixed descending schedule. It decides the stopping rule first, on the
 stepped points alone (``classify_point``, no barrier): when the top entries
 meet it, the shortest of them is the first trial, so the last step stops
 near the tolerance instead of overshooting it. A trial goes through its
-cone factors one at a time and stops at the first whose term fails: small
-factors form their exact terms directly, large ones are first screened by
-a lower bound that needs no Hessian (``try_make_iterate``).
+cone factors one at a time and stops at the first whose term fails: factors
+below ``wsos.SCREEN_MIN_U`` points form their exact terms directly, larger
+ones are first screened by a lower bound that needs no Hessian
+(``try_make_iterate``).
 """
 
 from __future__ import annotations
@@ -266,11 +267,12 @@ def try_make_iterate(problem, x, tau, y, s, kappa, screen=None):
     None once one term of the proximity is known to exceed (BETA*mu)^2.
     The tau term, exact, is checked before any barrier; the cone factors
     then go one at a time, and the first that rejects spares the barriers
-    of the rest. Large factors (``ProductCone.large_factors``) are screened
-    by a lower bound before any Hessian is formed (``_screened_barrier``),
-    and the Hessian stage follows for a point that passes. Small factors
-    skip the screen, whose bound costs about half a Hessian stage there:
-    each forms its Hessian and exact term in turn (``_sequential_trial``).
+    of the rest. Factors of at least ``wsos.SCREEN_MIN_U`` points
+    (``ProductCone.large_factors``) are screened by a lower bound before
+    any Hessian is formed (``_screened_barrier``), and the Hessian stage
+    follows for a point that passes. Smaller factors skip the screen, whose
+    bound costs about half a Hessian stage there: each forms its Hessian
+    and exact term in turn (``_sequential_trial``).
     Either way a point that is not rejected comes out exactly as
     make_iterate makes it, so the screen changes no step.
     """
@@ -329,8 +331,8 @@ def _sequential_trial(problem, x, tau, y, s, kappa):
     """The trial iterate, or None at the first term above (BETA*mu)^2.
 
     For small factors. After the tau term, each cone factor in turn forms
-    its barrier, gradient, Hessian and Cholesky factor and its exact term
-    psi_i^T H_i^{-1} psi_i, the operations of the sequential Hessian stage
+    its barrier and then its exact term psi_i^T H_i^{-1} psi_i through
+    ``BarrierEval.centrality``, the code of the Hessian stage
     (``ProductBarrierEval.centrality``), so an accepted point is bit for bit
     make_iterate's. A factor whose term fails the test
     ``proximity <= BETA * mu`` rejects the trial before any later factor's
@@ -345,8 +347,7 @@ def _sequential_trial(problem, x, tau, y, s, kappa):
     evals, psis, terms = [], [], []
     for factor, sl in zip(cone.factors, cone.slices()):
         ev = factor.barrier(x[sl])
-        psi = s[sl] + mu * ev.gradient
-        term = ev.inv_quadform(psi)
+        psi, term = ev.centrality(s[sl], mu)
         if math.sqrt(term) > BETA * mu:
             return None
         evals.append(ev)

@@ -22,7 +22,6 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dtrsm
 
-from . import _threads
 from .interpolation import PointSet, cheb_vandermonde, orthonormalize
 
 
@@ -234,6 +233,15 @@ class BarrierEval:
                                              check_finite=False)
         return float(half @ half)
 
+    def centrality(self, s: np.ndarray, mu: float) -> tuple[np.ndarray, float]:
+        """psi = s + mu g and its term psi^T H^{-1} psi, forming and factoring H.
+
+        The one place a factor's term of the proximity is formed, for the
+        Hessian stage of an iterate and for a predictor trial alike.
+        """
+        psi = s + mu * self.gradient
+        return psi, self.inv_quadform(psi)
+
     def inv_quadform_lower_bound(self, s: np.ndarray, mu: float,
                                  reference: "BarrierEval") -> float:
         """Lower bound on psi^T (H + eps I)^{-1} psi, psi = s + mu g, without H.
@@ -305,16 +313,13 @@ def build_cone(pts: PointSet, weights, degs) -> InterpWSOSCone:
 
 
 # smallest factor size U at which a product cone's factors count as large
-# (ProductCone.large_factors), which decides two things. Large factors form
-# and factor their Hessians concurrently (ProductBarrierEval.centrality):
-# sweeps of the two-factor stage on 2 cores each gained 1.6-1.8x at
-# U >= 378, while at U <= 351 some sweep gained nothing. And a predictor
-# trial screens large factors before their Hessians (hsd.try_make_iterate):
-# at n=1, L ~ U/2 makes the screen's O(sum_i L_i^2 U) bound cost about half
-# a Hessian stage, so on small factors it cost more than it spared
-# (envelope-1d, U = 201: 187 screen calls sparing 40 factor Hessian
-# stages), while envelope-3d (U = 455) keeps it
-CONCURRENT_MIN_U = 360
+# (ProductCone.large_factors): a predictor trial screens large factors
+# before their Hessians (hsd.try_make_iterate). At n=1, L ~ U/2 makes the
+# screen's O(sum_i L_i^2 U) bound cost about half a Hessian stage, so on
+# small factors it cost more than it spared (envelope-1d, U = 201: 187
+# screen calls sparing 40 factor Hessian stages), while envelope-3d
+# (U = 455) keeps it
+SCREEN_MIN_U = 360
 
 
 class ProductCone:
@@ -333,8 +338,9 @@ class ProductCone:
 
     @property
     def large_factors(self) -> bool:
-        """Whether every factor has at least CONCURRENT_MIN_U points."""
-        return min(f.U for f in self.factors) >= CONCURRENT_MIN_U
+        """Whether every factor has at least SCREEN_MIN_U points, so that
+        predictor trials are screened (``hsd.try_make_iterate``)."""
+        return min(f.U for f in self.factors) >= SCREEN_MIN_U
 
     def slices(self):
         return [slice(self.offsets[i], self.offsets[i + 1]) for i in range(len(self.factors))]
@@ -372,34 +378,13 @@ class ProductBarrierEval:
     def centrality(self, s: np.ndarray, mu: float) -> tuple[np.ndarray, list[float]]:
         """psi = s + mu g and the terms psi_i^T H_i^{-1} psi_i, forming and factoring each H_i.
 
-        This is the Hessian stage of an iterate, O(L_i U^2 + U^3) per factor:
-        each factor's gradient and Hessian, its Cholesky factor and its term
-        psi_i^T H_i^{-1} psi_i; the terms come back in factor order. With two
-        or more large factors (``ProductCone.large_factors``) they run
-        concurrently (``_threads.map_factors``), each on the same
-        floating-point operations as in sequence, so the result is bit for
-        bit the sequential one. A factor outside the interior raises
-        NotInteriorError; run concurrently, the first such factor's error is
-        raised once every factor has finished.
+        This is the Hessian stage of an iterate, O(L_i U^2 + U^3) per factor,
+        run factor by factor on the calling thread (``BarrierEval.centrality``);
+        the terms come back in factor order. A factor outside the interior
+        raises NotInteriorError.
         """
-        evals, slices = self.factor_evals, self.cone.slices()
-
-        def stage(i):
-            psi = s[slices[i]] + mu * evals[i].gradient
-            return psi, evals[i].inv_quadform(psi)
-
-        large = self.cone.large_factors and len(evals) > 1
-        workers = _threads.extra_workers() if large else 0
-        terms = _threads.map_factors(stage, len(evals), workers)
-        if workers:
-            # arrays made on a worker thread sit in its malloc arena, where
-            # the ones an iterate keeps fragment the arena; copied here, they
-            # live in the caller's, and the worker's arena holds only the
-            # stage's temporaries (envelope-3d peak RSS on 2 cores, over
-            # sequential: +11% without the copies, about +5% with them)
-            for ev in evals[1:]:
-                ev._hessian = ev._hessian.copy()
-                ev._hess_chol = ev._hess_chol.copy()
+        terms = [ev.centrality(s[sl], mu)
+                 for ev, sl in zip(self.factor_evals, self.cone.slices())]
         return np.concatenate([psi for psi, _ in terms]), [q for _, q in terms]
 
 

@@ -151,20 +151,18 @@ def contradictory_rows_solved(perturbed_rows_problem):
 
 
 @pytest.fixture
-def sequential_factors(monkeypatch):
-    """Cone factors evaluated in order on the calling thread, whatever their
-    size: for tests that inject faults by call order. Every factor counts
-    as small, so predictor trials skip the screen as well."""
-    monkeypatch.setattr(sp.wsos, "CONCURRENT_MIN_U", math.inf)
+def unscreened_trials(monkeypatch):
+    """Predictor trials that skip the screen, as small factors' do, whatever
+    the factor size: each factor forms its exact term in turn, for tests
+    that inject faults by call order."""
+    monkeypatch.setattr(sp.wsos, "SCREEN_MIN_U", math.inf)
 
 
 @pytest.fixture
 def screened_trials(monkeypatch):
     """Predictor trials screened before their Hessians, as large factors'
-    are, whatever the factor size, with the factors still evaluated in
-    order on the calling thread."""
-    monkeypatch.setattr(sp.wsos, "CONCURRENT_MIN_U", 0)
-    monkeypatch.setattr(sp.wsos._threads, "extra_workers", lambda: 0)
+    are, whatever the factor size."""
+    monkeypatch.setattr(sp.wsos, "SCREEN_MIN_U", 0)
 
 
 @pytest.fixture

@@ -643,7 +643,7 @@ def _counting_screen_calls(monkeypatch):
 
 
 def test_small_factor_trials_skip_the_screen(monkeypatch):
-    # below CONCURRENT_MIN_U points no trial of a whole solve is screened
+    # below SCREEN_MIN_U points no trial of a whole solve is screened
     problem = sp.build_envelope(1, 5, 3, seed=1).problem
     assert not problem.cone.large_factors
     calls = _counting_screen_calls(monkeypatch)
@@ -711,6 +711,27 @@ def test_small_trial_stops_at_the_first_factor_that_fails(envelope_small_k3, mon
                 assert trial.nbhd_norm == full.nbhd_norm
                 assert trial.proximity == full.proximity
     assert 0 in first_failures and len(set(first_failures)) > 1
+
+
+def test_failed_factor_hessian_stops_the_stage(monkeypatch):
+    # factor 1's Hessian Cholesky fails: the trial is None, and factor 2's
+    # Hessian is never formed
+    problem = sp.build_envelope(1, 12, 3, seed=3).problem
+    U = problem.cone.factors[0].U
+    z = initial_point(problem)
+    cholesky = np.linalg.cholesky
+    calls = []
+
+    def fail_factor_1(a):
+        if a.shape == (U, U):
+            calls.append(1)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("forced")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail_factor_1)
+    assert hsd.try_make_iterate(problem, z.x, z.tau, z.y, z.s, z.kappa) is None
+    assert len(calls) == 2  # factor 2 never reached
 
 
 def _linear_rows(problem, d):

@@ -278,7 +278,7 @@ def test_right_side_solve_matches_solve_triangular(U):
             assert np.linalg.norm(V - want) <= 1e-13 * np.linalg.norm(want)
 
 
-def test_hessian_is_shifted_once_and_factored_once(monkeypatch, sequential_factors):
+def test_hessian_is_shifted_once_and_factored_once(monkeypatch, unscreened_trials):
     # the one Hessian is sum_i Q_i∘Q_i, Q_i = V_i^T V_i, plus HESS_SHIFT
     # times its mean diagonal on the diagonal, and its factor is of that matrix
     cone = boxed_cone(1, 5)

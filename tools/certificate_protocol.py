@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import os
 import sys
-import threading
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -51,7 +50,6 @@ import checks  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = range(1, 11)
-_COUNT_LOCK = threading.Lock()
 POPULATIONS = {
     "n1": lambda seed: workloads.envelope_instances(seed, 1, 100, 3, 1e-8, 102),
     "n3": workloads.WORKLOADS["envelope-3d"],
@@ -59,11 +57,9 @@ POPULATIONS = {
 
 
 def _counting(counts: dict, key: str, fn):
-    """fn, adding one to counts[key] per call, from any thread (the Hessian
-    stage runs factors on a worker thread)."""
+    """fn, adding one to counts[key] per call."""
     def counted(*args):
-        with _COUNT_LOCK:
-            counts[key] += 1
+        counts[key] += 1
         return fn(*args)
     return counted
 
