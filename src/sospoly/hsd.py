@@ -29,21 +29,24 @@ neighborhood. The predictor's search takes the first accepted step of a
 fixed descending schedule. It decides the stopping rule first, on the
 stepped points alone (``classify_point``, no barrier): when the top entries
 meet it, the shortest of them is the first trial, so the last step stops
-near the tolerance instead of overshooting it. A trial goes through its
-cone factors one at a time and stops at the first whose term fails: factors
-below ``wsos.SCREEN_MIN_U`` points form their exact terms directly, larger
-ones are first screened by a lower bound that needs no Hessian
-(``try_make_iterate``).
+near the tolerance instead of overshooting it. Every point, the start,
+a corrector step or a predictor trial, is evaluated by one loop over the
+cone factors (``make_iterate``). A trial goes through its factors in order
+and stops at the first whose term fails; factors of at least
+``wsos.SCREEN_MIN_U`` points are first screened by a lower bound that
+needs no Hessian.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
+from . import wsos
 from .wsos import NotInteriorError, ProductBarrierEval, as_product
 
 
@@ -82,8 +85,9 @@ class SolverParams:
     def __post_init__(self):
         if not (0.0 < self.tol_gap < 1.0 and 0.0 < self.tol_infeas < 1.0):
             raise ValueError("tolerances must lie in (0, 1)")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
+        if (not isinstance(self.max_iters, numbers.Integral)
+                or isinstance(self.max_iters, bool) or self.max_iters < 0):
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
 
 
 def _rank(M):
@@ -234,26 +238,58 @@ ITERATION_LIMIT = "IterationLimit"
 NUMERICAL_FAILURE = "NumericalFailure"
 
 
-def make_iterate(problem, x, tau, y, s, kappa, barrier=None) -> Iterate:
-    """Assemble an Iterate, evaluating the barrier and central-path metrics."""
+def make_iterate(problem, x, tau, y, s, kappa, reference=None) -> Iterate | None:
+    """The Iterate at (x, tau, y, s, kappa), the one place a point is evaluated.
+
+    Raises NotInteriorError outside the interior (tau, kappa or mu not
+    positive, or a factor's barrier or Hessian Cholesky failing). With
+    ``reference``, the iterate a predictor trial steps from, it is None as
+    soon as one term of the proximity is known to exceed (BETA*mu)^2. The
+    tau term, exact, goes first. Then the screen: each factor of at least
+    ``wsos.SCREEN_MIN_U`` points evaluates its barrier and bounds its term
+    from below against the reference's factor, with no Hessian
+    (``BarrierEval.inv_quadform_lower_bound``; a relative margin of 1e-6
+    covers the rounding in which the bound differs from the exact term).
+    Then every factor in order forms its exact term psi_i^T H_i^{-1} psi_i
+    (``BarrierEval.centrality``), and the first above (BETA*mu)^2 stops the
+    walk before any later factor's barrier or Hessian. A point that is not
+    rejected comes out as it does without ``reference``.
+    """
     if tau <= 0 or kappa <= 0:
         raise NotInteriorError("tau and kappa must stay positive")
-    if barrier is None:
-        barrier = problem.cone.barrier(x)
+    x = np.asarray(x, dtype=float)
     mu = _mu(problem, x, tau, s, kappa)
     if mu <= 0:
         raise NotInteriorError("complementarity gap must stay positive")
-    psi_x, terms = barrier.centrality(s, mu)
-    return _iterate(x, tau, y, s, kappa, barrier, mu, psi_x, terms)
-
-
-def _iterate(x, tau, y, s, kappa, barrier, mu, psi_x, terms) -> Iterate:
-    """The Iterate with the given barrier, mu and cone factors' terms."""
     psi_tau = kappa - mu / tau
     tau_term = (tau * psi_tau) ** 2
+    trial = reference is not None
+    if trial and math.sqrt(tau_term) > BETA * mu:
+        return None
+    cone = problem.cone
+    slices = cone.slices()
+    evals = [None] * len(cone.factors)
+    if trial:
+        cap = (1.0 + 1e-6) * (BETA * mu) ** 2
+        for i, (factor, ref, sl) in enumerate(
+                zip(cone.factors, reference.barrier.factor_evals, slices)):
+            if factor.U >= wsos.SCREEN_MIN_U:
+                evals[i] = factor.barrier(x[sl])
+                if evals[i].inv_quadform_lower_bound(s[sl], mu, ref) > cap:
+                    return None
+    psis, terms = [], []
+    for i, (factor, sl) in enumerate(zip(cone.factors, slices)):
+        if evals[i] is None:
+            evals[i] = factor.barrier(x[sl])
+        psi, term = evals[i].centrality(s[sl], mu)
+        if trial and math.sqrt(term) > BETA * mu:
+            return None
+        psis.append(psi)
+        terms.append(term)
     norm = math.sqrt(sum(terms) + tau_term)
     proximity = math.sqrt(max(tau_term, *terms))
-    return Iterate(x, tau, y, s, kappa, barrier, mu, psi_x, psi_tau, norm, proximity)
+    return Iterate(x, tau, y, s, kappa, ProductBarrierEval(cone, x, evals), mu,
+                   np.concatenate(psis), psi_tau, norm, proximity)
 
 
 def _mu(problem, x, tau, s, kappa) -> float:
@@ -261,100 +297,17 @@ def _mu(problem, x, tau, s, kappa) -> float:
 
 
 def try_make_iterate(problem, x, tau, y, s, kappa, screen=None):
-    """The iterate at (x, tau, y, s, kappa), or None outside the interior.
+    """``make_iterate`` with ``screen`` as its reference, or None outside the interior.
 
-    With ``screen``, the iterate a predictor trial steps from, it is also
-    None once one term of the proximity is known to exceed (BETA*mu)^2.
-    The tau term, exact, is checked before any barrier; the cone factors
-    then go one at a time, and the first that rejects spares the barriers
-    of the rest. Factors of at least ``wsos.SCREEN_MIN_U`` points
-    (``ProductCone.large_factors``) are screened by a lower bound before
-    any Hessian is formed (``_screened_barrier``), and the Hessian stage
-    follows for a point that passes. Smaller factors skip the screen, whose
-    bound costs about half a Hessian stage there: each forms its Hessian
-    and exact term in turn (``_sequential_trial``).
-    Either way a point that is not rejected comes out exactly as
-    make_iterate makes it, so the screen changes no step.
+    With ``screen``, the iterate a predictor trial steps from, the trial is
+    also None at its first term known to exceed (BETA*mu)^2, before the
+    later factors' barriers and Hessians; an accepted trial is bit for bit
+    the point make_iterate forms in full, so the screen changes no step.
     """
     try:
-        if screen is None or tau <= 0 or kappa <= 0:
-            return make_iterate(problem, x, tau, y, s, kappa)
-        if not problem.cone.large_factors:
-            return _sequential_trial(problem, x, tau, y, s, kappa)
-        barrier = _screened_barrier(problem, screen, x, tau, s, kappa)
-        if barrier is None:
-            return None
-        return make_iterate(problem, x, tau, y, s, kappa, barrier)
+        return make_iterate(problem, x, tau, y, s, kappa, reference=screen)
     except NotInteriorError:
         return None
-
-
-def _trial_mu(problem, x, tau, s, kappa):
-    """mu at a trial point, or None when mu <= 0 or the tau term, exact,
-    already exceeds (BETA*mu)^2."""
-    mu = _mu(problem, x, tau, s, kappa)
-    if mu <= 0 or math.sqrt((tau * (kappa - mu / tau)) ** 2) > BETA * mu:
-        return None
-    return mu
-
-
-def _screened_barrier(problem, z: Iterate, x, tau, s, kappa):
-    """The barrier at x, or None once the proximity provably exceeds BETA*mu.
-
-    For large factors. The proximity is the root of the largest of the tau
-    term and the cone factors' terms psi_i^T H_i^{-1} psi_i, so any one
-    term above (BETA*mu)^2 rejects. The tau term is exact and is checked
-    before any barrier. Then each cone factor's barrier is evaluated in
-    turn and its term lower-bounded with z's cached Hessian factors as
-    reference (``BarrierEval.inv_quadform_lower_bound``, O(L_i^2 U) per
-    block), so the first factor whose bound passes (BETA*mu)^2 (with a
-    relative margin of 1e-6 for the rounding in which the bounds differ
-    from the exact terms) spares the barriers of the rest and every
-    Hessian. Raises NotInteriorError where a factor's barrier does.
-    """
-    x = np.asarray(x, dtype=float)
-    mu = _trial_mu(problem, x, tau, s, kappa)
-    if mu is None:
-        return None
-    cap = (1.0 + 1e-6) * (BETA * mu) ** 2
-    cone = problem.cone
-    evals = []
-    for factor, ref, sl in zip(cone.factors, z.barrier.factor_evals, cone.slices()):
-        ev = factor.barrier(x[sl])
-        if ev.inv_quadform_lower_bound(s[sl], mu, ref) > cap:
-            return None
-        evals.append(ev)
-    return ProductBarrierEval(cone, x, evals)
-
-
-def _sequential_trial(problem, x, tau, y, s, kappa):
-    """The trial iterate, or None at the first term above (BETA*mu)^2.
-
-    For small factors. After the tau term, each cone factor in turn forms
-    its barrier and then its exact term psi_i^T H_i^{-1} psi_i through
-    ``BarrierEval.centrality``, the code of the Hessian stage
-    (``ProductBarrierEval.centrality``), so an accepted point is bit for bit
-    make_iterate's. A factor whose term fails the test
-    ``proximity <= BETA * mu`` rejects the trial before any later factor's
-    barrier is evaluated. Raises NotInteriorError where a factor's barrier
-    or Hessian Cholesky does.
-    """
-    x = np.asarray(x, dtype=float)
-    mu = _trial_mu(problem, x, tau, s, kappa)
-    if mu is None:
-        return None
-    cone = problem.cone
-    evals, psis, terms = [], [], []
-    for factor, sl in zip(cone.factors, cone.slices()):
-        ev = factor.barrier(x[sl])
-        psi, term = ev.centrality(s[sl], mu)
-        if math.sqrt(term) > BETA * mu:
-            return None
-        evals.append(ev)
-        psis.append(psi)
-        terms.append(term)
-    barrier = ProductBarrierEval(cone, x, evals)
-    return _iterate(x, tau, y, s, kappa, barrier, mu, np.concatenate(psis), terms)
 
 
 def initial_point(problem: ConicProblem) -> Iterate:
@@ -645,9 +598,11 @@ def predictor_step(problem, z: Iterate, alpha_init=None,
     psi_i^T H_i^{-1} psi_i are each at most (BETA*mu)^2 (``Iterate.proximity``),
     not their sum: the per-factor proximity of Coey, Kapelevich and Vielma
     (Math. Prog. Comp. 2023). Trials sit at z + alpha d + alpha^2 d_adj
-    (``newton_direction``), and each is rejected at its first term above
-    (BETA*mu)^2, before the later factors' barriers (``try_make_iterate``),
-    which changes no step.
+    (``newton_direction``), and each is evaluated by ``make_iterate`` with z
+    as its reference: the screen of the factors with at least
+    ``wsos.SCREEN_MIN_U`` points, then one walk over the factors that stops
+    at the first term above (BETA*mu)^2, before the later factors' barriers
+    and Hessians. That changes no step.
 
     With ``params``, the stopping rule is decided first, on the stepped
     points alone: the schedule is scanned from its top entry for as long as

@@ -312,13 +312,12 @@ def build_cone(pts: PointSet, weights, degs) -> InterpWSOSCone:
     return InterpWSOSCone(blocks, specs)
 
 
-# smallest factor size U at which a product cone's factors count as large
-# (ProductCone.large_factors): a predictor trial screens large factors
-# before their Hessians (hsd.try_make_iterate). At n=1, L ~ U/2 makes the
-# screen's O(sum_i L_i^2 U) bound cost about half a Hessian stage, so on
-# small factors it cost more than it spared (envelope-1d, U = 201: 187
-# screen calls sparing 40 factor Hessian stages), while envelope-3d
-# (U = 455) keeps it
+# smallest factor size U at which a predictor trial screens the factor
+# before its Hessian (hsd.make_iterate), decided factor by factor. At n=1,
+# L ~ U/2 makes the screen's O(sum_i L_i^2 U) bound cost about half a
+# Hessian stage, so on small factors it cost more than it spared
+# (envelope-1d, U = 201: 187 screen calls sparing 40 factor Hessian
+# stages), while envelope-3d (U = 455) keeps it
 SCREEN_MIN_U = 360
 
 
@@ -335,12 +334,6 @@ class ProductCone:
     @property
     def nu(self) -> int:
         return sum(f.nu for f in self.factors)
-
-    @property
-    def large_factors(self) -> bool:
-        """Whether every factor has at least SCREEN_MIN_U points, so that
-        predictor trials are screened (``hsd.try_make_iterate``)."""
-        return min(f.U for f in self.factors) >= SCREEN_MIN_U
 
     def slices(self):
         return [slice(self.offsets[i], self.offsets[i + 1]) for i in range(len(self.factors))]
@@ -374,18 +367,6 @@ class ProductBarrierEval:
         return np.concatenate(
             [e.third_order(d[sl]) for e, sl in zip(self.factor_evals, self.cone.slices())]
         )
-
-    def centrality(self, s: np.ndarray, mu: float) -> tuple[np.ndarray, list[float]]:
-        """psi = s + mu g and the terms psi_i^T H_i^{-1} psi_i, forming and factoring each H_i.
-
-        This is the Hessian stage of an iterate, O(L_i U^2 + U^3) per factor,
-        run factor by factor on the calling thread (``BarrierEval.centrality``);
-        the terms come back in factor order. A factor outside the interior
-        raises NotInteriorError.
-        """
-        terms = [ev.centrality(s[sl], mu)
-                 for ev, sl in zip(self.factor_evals, self.cone.slices())]
-        return np.concatenate([psi for psi, _ in terms]), [q for _, q in terms]
 
 
 def as_product(cone) -> ProductCone:

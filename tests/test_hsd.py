@@ -44,9 +44,13 @@ def trivial_problem():
 def test_params_validation():
     with pytest.raises(ValueError):
         SolverParams(tol_gap=2.0)
-    with pytest.raises(ValueError, match="max_iters"):
-        SolverParams(max_iters=-1)
+    # an iteration limit the loop's count can never equal is refused:
+    # max_iters=2.5 would solve on to Optimal where 2 stops at the limit
+    for bad in (-1, 2.5, None, "3", True):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverParams(max_iters=bad)
     assert SolverParams(max_iters=0).max_iters == 0
+    assert SolverParams(max_iters=np.int64(3)).max_iters == 3
 
 
 def test_consistent_rank_deficient_A_rejected():
@@ -538,40 +542,45 @@ def test_predictor_walks_down_while_the_stopping_rule_holds(monkeypatch, accepts
     assert out.trials == len(tried)
 
 
+def _screen_rejects(bound, mu):
+    """Whether a factor's screen bound rejects its trial in make_iterate."""
+    return bound > (1.0 + 1e-6) * (hsd.BETA * mu) ** 2
+
+
 def _predict(problem, z, monkeypatch, screen):
-    """predictor_step from z with the screen, or with one that never rejects;
-    also the screen's verdicts and the number of factor barriers evaluated."""
+    """predictor_step from z with the screen, or with one that never rejects
+    (its bound 0.0); also the screen's verdicts, one per screened factor, and
+    the number of factor barriers evaluated."""
     verdicts, evaluated = [], []
-    screened_barrier = hsd._screened_barrier
+    bound = wsos.BarrierEval.inv_quadform_lower_bound
     factor_barrier = wsos.InterpWSOSCone.barrier
 
-    def recording(problem, z, x, tau, s, kappa):
-        if screen:
-            barrier = screened_barrier(problem, z, x, tau, s, kappa)
-        else:
-            barrier = problem.cone.barrier(x)
-        verdicts.append(barrier is None)
-        return barrier
+    def recording(self, s, mu, reference):
+        value = bound(self, s, mu, reference) if screen else 0.0
+        verdicts.append(_screen_rejects(value, mu))
+        return value
 
     def counting(self, x):
         evaluated.append(1)
         return factor_barrier(self, x)
 
     with monkeypatch.context() as m:
-        m.setattr(hsd, "_screened_barrier", recording)
+        m.setattr(wsos.BarrierEval, "inv_quadform_lower_bound", recording)
         m.setattr(wsos.InterpWSOSCone, "barrier", counting)
         return predictor_step(problem, z), verdicts, len(evaluated)
 
 
-def _first_late_screened_iterate(problem, iterations, monkeypatch):
-    """The first iterate of the second half of a solve of ``iterations``
-    iterations whose search, from the schedule's first entry, has a trial
-    that the screen rejects."""
-    for i in range((iterations + 1) // 2, iterations):
+def _first_screened_iterate(problem, iterations, monkeypatch, late):
+    """The first iterate of the first (or, ``late``, the second) half of a
+    solve of ``iterations`` iterations whose search, from the schedule's
+    first entry, has a trial that the screen rejects."""
+    half = (iterations + 1) // 2
+    for i in range(half, iterations) if late else range(half):
         z = _iterate_after(problem, i)
         if any(_predict(problem, z, monkeypatch, screen=True)[1]):
             return z
-    raise AssertionError("the screen rejects no trial in the second half of the solve")
+    raise AssertionError(f"the screen rejects no trial in the {'second' if late else 'first'} "
+                         "half of the solve")
 
 
 @pytest.mark.parametrize("late", [False, True])
@@ -580,20 +589,17 @@ def test_predictor_screen_changes_no_step(envelope_small, envelope_small_k3,
     # the same step and bit-identical iterate with the screen as with a
     # screen that never rejects, early and late, for k = 2 and k = 3 cone
     # factors (small, screened here as large ones are); a trial rejected at
-    # an early factor never evaluates the later factors' barriers. Early is
-    # the iterate after one iteration:
-    # from the start, k = 2 rejects its trials at the last factor only.
-    # Late is picked by property, not by count: the first iterate of the
-    # solve's second half from which the screen rejects a trial. Near the
-    # end the search's first trials leave the cone or are accepted at once,
-    # and which iterates still see a rejection moves with the step rules.
+    # an early factor never evaluates the later factors' barriers. Early and
+    # late are picked by property, not by count: the first iterate of the
+    # solve's first or second half from which the screen rejects a trial.
+    # Trials whose tau term fails are rejected before the screen, and from
+    # the start k = 2's first screened trials all pass it; near the end the
+    # search's first trials leave the cone or are accepted at once, and
+    # which iterates still see a rejection moves with the step rules.
     for k, inst in ((2, envelope_small), (3, envelope_small_k3)):
         problem = inst.built.problem
         assert len(problem.cone.factors) == k
-        if late:
-            z = _first_late_screened_iterate(problem, inst.result.iterations, monkeypatch)
-        else:
-            z = _iterate_after(problem, 1)
+        z = _first_screened_iterate(problem, inst.result.iterations, monkeypatch, late)
         screened, verdicts, evaluated = _predict(problem, z, monkeypatch, screen=True)
         plain, _, evaluated_plain = _predict(problem, z, monkeypatch, screen=False)
         assert any(verdicts)  # the screen does reject, early and late
@@ -613,16 +619,22 @@ def test_every_screen_rejection_is_a_rejected_trial(monkeypatch, screened_trials
     # has, formed in full, a proximity above BETA mu: the screen bounds
     # each term against (BETA mu)^2, never a sum
     problem = sp.build_envelope(1, 5, 3, seed=1).problem
-    rejected = []
-    screened_barrier = hsd._screened_barrier
+    points, rejected = [], []
+    trial_at = hsd.try_make_iterate
+    bound = wsos.BarrierEval.inv_quadform_lower_bound
 
-    def recording(problem, z, x, tau, s, kappa):
-        barrier = screened_barrier(problem, z, x, tau, s, kappa)
-        if barrier is None:
-            rejected.append((x, tau, s, kappa))
-        return barrier
+    def remembering(problem, x, tau, y, s, kappa, screen=None):
+        points.append((x, tau, s, kappa))
+        return trial_at(problem, x, tau, y, s, kappa, screen)
 
-    monkeypatch.setattr(hsd, "_screened_barrier", recording)
+    def recording(self, s, mu, reference):
+        value = bound(self, s, mu, reference)
+        if _screen_rejects(value, mu):
+            rejected.append(points[-1])
+        return value
+
+    monkeypatch.setattr(hsd, "try_make_iterate", remembering)
+    monkeypatch.setattr(wsos.BarrierEval, "inv_quadform_lower_bound", recording)
     assert sp.solve(problem).status == hsd.OPTIMAL and rejected
     y = np.zeros(problem.A.shape[0])
     for x, tau, s, kappa in rejected:
@@ -645,7 +657,7 @@ def _counting_screen_calls(monkeypatch):
 def test_small_factor_trials_skip_the_screen(monkeypatch):
     # below SCREEN_MIN_U points no trial of a whole solve is screened
     problem = sp.build_envelope(1, 5, 3, seed=1).problem
-    assert not problem.cone.large_factors
+    assert all(f.U < wsos.SCREEN_MIN_U for f in problem.cone.factors)
     calls = _counting_screen_calls(monkeypatch)
     result = sp.solve(problem)
     assert result.status == hsd.OPTIMAL and result.trials > result.iterations
@@ -668,49 +680,81 @@ def test_screen_forced_on_small_factors_changes_no_iterate(envelope_small, envel
             assert np.array_equal(getattr(plain, key), getattr(screened, key))
 
 
-def test_small_trial_stops_at_the_first_factor_that_fails(envelope_small_k3, monkeypatch):
-    # every trial of the first half of a k = 3 solve whose tau term passes:
-    # formed in full, its first factor with a term above (BETA mu)^2 is the
-    # last factor whose barrier the trial evaluates; with none, the trial is
-    # the iterate formed in full, bit for bit. Some trials fail at factor 0
-    # and evaluate no later factor's barrier. (The factors here are one
-    # cone object, so barrier calls are counted, not told apart.)
+def test_small_trial_stops_at_the_first_factor_that_fails(envelope_small_k3, monkeypatch,
+                                                          request):
+    # every trial of the first half of a k = 3 solve whose tau term passes,
+    # with the screen off (small factors, as by default) and then on
+    # (screened_trials): formed in full, its first factor with a term above
+    # (BETA mu)^2 is the last factor whose Hessian the trial forms, and,
+    # unscreened, the last whose barrier it evaluates; a screened trial
+    # evaluates every barrier before the first Hessian. A trial the screen
+    # rejects forms no Hessian. With no such factor, the trial is the
+    # iterate formed in full, bit for bit. Unscreened, some trials fail at
+    # factor 0 and evaluate no later factor's barrier. (The factors here
+    # are one cone object, so calls are counted, not told apart.)
     problem = envelope_small_k3.built.problem
     slices = problem.cone.slices()
-    assert len(slices) == 3 and not problem.cone.large_factors
+    assert len(slices) == 3
+    assert all(f.U < wsos.SCREEN_MIN_U for f in problem.cone.factors)
     factor_barrier = wsos.InterpWSOSCone.barrier
-    evaluated = []
+    form = wsos.BarrierEval._form_hessian
+    bound = wsos.BarrierEval.inv_quadform_lower_bound
+    evaluated, formed, screened_out = [], [], []
 
     def counting(self, x):
         evaluated.append(1)
         return factor_barrier(self, x)
 
-    first_failures = []
-    for i in range(envelope_small_k3.result.iterations // 2 + 1):
-        z = _iterate_after(problem, i)
-        d = newton_direction(problem, z, "predictor")
-        for alpha in hsd.STEP_SCHEDULE[:12]:
-            point = hsd._stepped(z, d, alpha)
-            full = hsd.try_make_iterate(problem, *point)
-            if full is None or abs(full.tau * full.psi_tau) > hsd.BETA * full.mu:
-                continue
-            terms = [ev.inv_quadform(full.psi_x[sl])
-                     for ev, sl in zip(full.barrier.factor_evals, slices)]
-            failing = [j for j, q in enumerate(terms) if math.sqrt(q) > hsd.BETA * full.mu]
-            evaluated.clear()
-            with monkeypatch.context() as m:
-                m.setattr(wsos.InterpWSOSCone, "barrier", counting)
-                trial = hsd.try_make_iterate(problem, *point, screen=z)
-            if failing:
-                first_failures.append(failing[0])
-                assert trial is None
-                assert len(evaluated) == failing[0] + 1
-            else:
-                assert len(evaluated) == 3
-                assert np.array_equal(trial.x, full.x) and np.array_equal(trial.s, full.s)
-                assert trial.nbhd_norm == full.nbhd_norm
-                assert trial.proximity == full.proximity
-    assert 0 in first_failures and len(set(first_failures)) > 1
+    def forming(self):
+        formed.append(1)
+        return form(self)
+
+    def screening(self, s, mu, reference):
+        value = bound(self, s, mu, reference)
+        screened_out.append(_screen_rejects(value, mu))
+        return value
+
+    iterates = [_iterate_after(problem, i)
+                for i in range(envelope_small_k3.result.iterations // 2 + 1)]
+    for screened in (False, True):
+        if screened:
+            request.getfixturevalue("screened_trials")
+        first_failures = []
+        for z in iterates:
+            d = newton_direction(problem, z, "predictor")
+            for alpha in hsd.STEP_SCHEDULE[:12]:
+                point = hsd._stepped(z, d, alpha)
+                full = hsd.try_make_iterate(problem, *point)
+                if full is None or abs(full.tau * full.psi_tau) > hsd.BETA * full.mu:
+                    continue
+                terms = [ev.inv_quadform(full.psi_x[sl])
+                         for ev, sl in zip(full.barrier.factor_evals, slices)]
+                failing = [j for j, q in enumerate(terms)
+                           if math.sqrt(q) > hsd.BETA * full.mu]
+                evaluated.clear(), formed.clear(), screened_out.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(wsos.InterpWSOSCone, "barrier", counting)
+                    m.setattr(wsos.BarrierEval, "_form_hessian", forming)
+                    m.setattr(wsos.BarrierEval, "inv_quadform_lower_bound", screening)
+                    trial = hsd.try_make_iterate(problem, *point, screen=z)
+                assert len(screened_out) == (len(evaluated) if screened else 0)
+                if any(screened_out):
+                    assert failing and trial is None and formed == []
+                    assert screened_out.index(True) == len(evaluated) - 1
+                elif failing:
+                    first_failures.append(failing[0])
+                    assert len(formed) == failing[0] + 1
+                    assert trial is None
+                    assert len(evaluated) == (3 if screened else failing[0] + 1)
+                else:
+                    assert len(evaluated) == len(formed) == 3
+                    assert np.array_equal(trial.x, full.x) and np.array_equal(trial.s, full.s)
+                    assert trial.nbhd_norm == full.nbhd_norm
+                    assert trial.proximity == full.proximity
+        if screened:
+            assert first_failures  # some trials pass the screen and fail exactly
+        else:
+            assert 0 in first_failures and len(set(first_failures)) > 1
 
 
 def test_failed_factor_hessian_stops_the_stage(monkeypatch):

@@ -59,7 +59,8 @@ def test_factors_run_on_the_calling_thread(monkeypatch):
 
     monkeypatch.setattr(wsos.BarrierEval, "_form_hessian", recording)
     problem = sp.build_envelope(1, 12, 3, seed=3).problem
-    assert len(problem.cone.factors) == 3 and problem.cone.large_factors
+    assert len(problem.cone.factors) == 3
+    assert all(f.U >= wsos.SCREEN_MIN_U for f in problem.cone.factors)
     before = threading.enumerate()
     assert sp.solve(problem).status == hsd.OPTIMAL
     assert threading.enumerate() == before

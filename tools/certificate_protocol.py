@@ -12,10 +12,11 @@ imported and left unchanged):
 For each population it prints the cone factors certified, the solver's
 iterations, predictor trials, corrector steps, Newton directions (one
 per iteration plus one per corrector step, each a factorization of the
-Newton system), factor barrier evaluations and factor Hessian stages
-(counted by wrapping ``wsos.InterpWSOSCone.barrier`` and
-``wsos.BarrierEval._form_hessian``, which forms a factor's Hessian, during
-the solves only), the factors whose Gram blocks miss the
+Newton system), factor barrier evaluations, factor Hessian stages and
+screen calls (counted by wrapping ``wsos.InterpWSOSCone.barrier``,
+``wsos.BarrierEval._form_hessian``, which forms a factor's Hessian, and
+``wsos.BarrierEval.inv_quadform_lower_bound``, which screens a trial's
+factor, during the solves only), the factors whose Gram blocks miss the
 adjoint identity to 1e-8 (1 + ||s||_2) (``checks.check_adjoint``), the
 factors ``verify_certificate`` rejects, the worst adjoint residual as a share of
 that limit, the worst ``verify_certificate`` margin (its certified residual
@@ -65,21 +66,25 @@ def _counting(counts: dict, key: str, fn):
 
 
 def _counted_solve(problem, params, totals):
-    """sp.solve, adding its factor barrier evaluations and factor Hessian
-    stages to totals."""
-    barrier, form = wsos.InterpWSOSCone.barrier, wsos.BarrierEval._form_hessian
-    wsos.InterpWSOSCone.barrier = _counting(totals, "barriers", barrier)
-    wsos.BarrierEval._form_hessian = _counting(totals, "hessian_stages", form)
+    """sp.solve, adding its factor barrier evaluations, factor Hessian
+    stages and screen calls to totals."""
+    counted = ((wsos.InterpWSOSCone, "barrier", "barriers"),
+               (wsos.BarrierEval, "_form_hessian", "hessian_stages"),
+               (wsos.BarrierEval, "inv_quadform_lower_bound", "screens"))
+    originals = [getattr(owner, attr) for owner, attr, _ in counted]
+    for (owner, attr, key), fn in zip(counted, originals):
+        setattr(owner, attr, _counting(totals, key, fn))
     try:
         return sp.solve(problem, params)
     finally:
-        wsos.InterpWSOSCone.barrier, wsos.BarrierEval._form_hessian = barrier, form
+        for (owner, attr, _), fn in zip(counted, originals):
+            setattr(owner, attr, fn)
 
 
 def run_population(name: str) -> dict:
     """Totals over the population's instances for every seed."""
     totals = dict(factors=0, iterations=0, trials=0, corrector_steps=0, barriers=0,
-                  hessian_stages=0, misses=0, rejections=0, worst_ratio=0.0,
+                  hessian_stages=0, screens=0, misses=0, rejections=0, worst_ratio=0.0,
                   worst_margin=(0.0, None), failed=[])
     for seed in SEEDS:
         for inst in POPULATIONS[name](seed):
@@ -117,6 +122,7 @@ def main() -> int:
               f"Newton directions {t['iterations'] + t['corrector_steps']}, "
               f"factor barrier evaluations {t['barriers']}, "
               f"factor Hessian stages {t['hessian_stages']}, "
+              f"screen calls {t['screens']}, "
               f"misses {t['misses']}, rejections {t['rejections']}, "
               f"worst ratio {t['worst_ratio']:.3g}, "
               f"worst margin {t['worst_margin'][0]:.3g} ({t['worst_margin'][1]}), "
