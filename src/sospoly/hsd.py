@@ -1,8 +1,7 @@
 """Homogeneous self-dual predictor-corrector interior-point method.
 
-Works over any cone exposing the barrier-oracle interface of :mod:`wsos`
-(value, gradient, Hessian with factorization). The method embeds the primal
-and dual problems
+Works over any product of cone factors that meet the contract stated at
+the end of this docstring. The method embeds the primal and dual problems
 
     min c'x  s.t. Ax = b, x in K        max b'y  s.t. A'y + s = c, s in K*
 
@@ -31,10 +30,22 @@ stepped points alone (``classify_point``, no barrier): when the top entries
 meet it, the shortest of them is the first trial, so the last step stops
 near the tolerance instead of overshooting it. Every point, the start,
 a corrector step or a predictor trial, is evaluated by one loop over the
-cone factors (``make_iterate``). A trial goes through its factors in order
-and stops at the first whose term fails; factors of at least
-``wsos.SCREEN_MIN_U`` points are first screened by a lower bound that
-needs no Hessian.
+cone factors (``make_iterate``), which alone decides whether a trial is
+accepted.
+
+The solver reads its cone factors through this contract and nothing else
+(:class:`wsos.InterpWSOSCone` is one implementation):
+
+- a factor has ``U``, its dimension; ``nu``, its barrier parameter;
+  ``screened``, whether a predictor trial bounds the factor's term before
+  its Hessian; and ``barrier(x)``, an evaluation at x, which raises
+  ``NotInteriorError`` outside the interior;
+- an evaluation has ``value``, ``gradient``, ``hessian``, ``hess_apply(v)``,
+  ``third_order(d)`` (nabla^3 F(x)[d, d]), ``centrality(s, mu)`` (psi =
+  s + mu g and the term psi^T H^{-1} psi, raising ``NotInteriorError``
+  when H cannot be factored) and, for a screened factor,
+  ``inv_quadform_lower_bound(s, mu, reference)``, a lower bound on that
+  term given the evaluation of the point the trial steps from.
 """
 
 from __future__ import annotations
@@ -46,7 +57,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import wsos
 from .wsos import NotInteriorError, ProductBarrierEval, as_product
 
 
@@ -83,8 +93,10 @@ class SolverParams:
     max_iters: int = 500
 
     def __post_init__(self):
-        if not (0.0 < self.tol_gap < 1.0 and 0.0 < self.tol_infeas < 1.0):
-            raise ValueError("tolerances must lie in (0, 1)")
+        for name in ("tol_gap", "tol_infeas"):
+            tol = getattr(self, name)
+            if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < 1.0:
+                raise ValueError(f"{name} must be a real number in (0, 1), got {tol!r}")
         if (not isinstance(self.max_iters, numbers.Integral)
                 or isinstance(self.max_iters, bool) or self.max_iters < 0):
             raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
@@ -242,18 +254,19 @@ def make_iterate(problem, x, tau, y, s, kappa, reference=None) -> Iterate | None
     """The Iterate at (x, tau, y, s, kappa), the one place a point is evaluated.
 
     Raises NotInteriorError outside the interior (tau, kappa or mu not
-    positive, or a factor's barrier or Hessian Cholesky failing). With
-    ``reference``, the iterate a predictor trial steps from, it is None as
-    soon as one term of the proximity is known to exceed (BETA*mu)^2. The
-    tau term, exact, goes first. Then the screen: each factor of at least
-    ``wsos.SCREEN_MIN_U`` points evaluates its barrier and bounds its term
-    from below against the reference's factor, with no Hessian
-    (``BarrierEval.inv_quadform_lower_bound``; a relative margin of 1e-6
-    covers the rounding in which the bound differs from the exact term).
-    Then every factor in order forms its exact term psi_i^T H_i^{-1} psi_i
-    (``BarrierEval.centrality``), and the first above (BETA*mu)^2 stops the
-    walk before any later factor's barrier or Hessian. A point that is not
-    rejected comes out as it does without ``reference``.
+    positive, or a factor's barrier or Hessian failing). With
+    ``reference``, the iterate a predictor trial steps from, this is the
+    solver's one acceptance test: the trial is None as soon as one term of
+    the proximity, the tau term or a factor's, is not known to be at most
+    (BETA*mu)^2, so a NaN term rejects it. The tau term, exact, goes first.
+    Then the screen: each ``screened`` factor evaluates its barrier and
+    bounds its term from below against the reference's factor, with no
+    Hessian (``inv_quadform_lower_bound``; a relative margin of 1e-6 covers
+    the rounding in which the bound differs from the exact term). Then
+    every factor in order forms its exact term psi_i^T H_i^{-1} psi_i
+    (``centrality``), and the first that fails stops the walk before any
+    later factor's barrier or Hessian. A point that is not rejected comes
+    out as it does without ``reference``.
     """
     if tau <= 0 or kappa <= 0:
         raise NotInteriorError("tau and kappa must stay positive")
@@ -264,7 +277,7 @@ def make_iterate(problem, x, tau, y, s, kappa, reference=None) -> Iterate | None
     psi_tau = kappa - mu / tau
     tau_term = (tau * psi_tau) ** 2
     trial = reference is not None
-    if trial and math.sqrt(tau_term) > BETA * mu:
+    if trial and not math.sqrt(tau_term) <= BETA * mu:
         return None
     cone = problem.cone
     slices = cone.slices()
@@ -273,7 +286,7 @@ def make_iterate(problem, x, tau, y, s, kappa, reference=None) -> Iterate | None
         cap = (1.0 + 1e-6) * (BETA * mu) ** 2
         for i, (factor, ref, sl) in enumerate(
                 zip(cone.factors, reference.barrier.factor_evals, slices)):
-            if factor.U >= wsos.SCREEN_MIN_U:
+            if factor.screened:
                 evals[i] = factor.barrier(x[sl])
                 if evals[i].inv_quadform_lower_bound(s[sl], mu, ref) > cap:
                     return None
@@ -282,13 +295,13 @@ def make_iterate(problem, x, tau, y, s, kappa, reference=None) -> Iterate | None
         if evals[i] is None:
             evals[i] = factor.barrier(x[sl])
         psi, term = evals[i].centrality(s[sl], mu)
-        if trial and math.sqrt(term) > BETA * mu:
+        if trial and not math.sqrt(term) <= BETA * mu:
             return None
         psis.append(psi)
         terms.append(term)
     norm = math.sqrt(sum(terms) + tau_term)
     proximity = math.sqrt(max(tau_term, *terms))
-    return Iterate(x, tau, y, s, kappa, ProductBarrierEval(cone, x, evals), mu,
+    return Iterate(x, tau, y, s, kappa, ProductBarrierEval(cone, evals), mu,
                    np.concatenate(psis), psi_tau, norm, proximity)
 
 
@@ -296,16 +309,16 @@ def _mu(problem, x, tau, s, kappa) -> float:
     return (float(x @ s) + tau * kappa) / (problem.cone.nu + 1)
 
 
-def try_make_iterate(problem, x, tau, y, s, kappa, screen=None):
-    """``make_iterate`` with ``screen`` as its reference, or None outside the interior.
+def try_make_iterate(problem, x, tau, y, s, kappa, reference=None):
+    """``make_iterate``, or None outside the interior.
 
-    With ``screen``, the iterate a predictor trial steps from, the trial is
-    also None at its first term known to exceed (BETA*mu)^2, before the
-    later factors' barriers and Hessians; an accepted trial is bit for bit
-    the point make_iterate forms in full, so the screen changes no step.
+    With ``reference``, the iterate a predictor trial steps from, the trial
+    is also None when ``make_iterate`` rejects it; an accepted trial is bit
+    for bit the point make_iterate forms in full, so the screen and the
+    early stop change no step.
     """
     try:
-        return make_iterate(problem, x, tau, y, s, kappa, reference=screen)
+        return make_iterate(problem, x, tau, y, s, kappa, reference=reference)
     except NotInteriorError:
         return None
 
@@ -525,7 +538,7 @@ def newton_direction(problem, z: Iterate, rhs_mode: str) -> Direction:
         rhs = (-r_p, -r_d, -r_g, -z.s, -z.kappa)
     elif rhs_mode == "corrector":
         k, N = problem.A.shape
-        rhs = (np.zeros(k), np.zeros(N), 0.0, -z.psi_x, -(z.kappa - z.mu / z.tau))
+        rhs = (np.zeros(k), np.zeros(N), 0.0, -z.psi_x, -z.psi_tau)
     else:
         raise ValueError(f"unknown rhs_mode {rhs_mode!r}")
     kkt = (_NullSpaceKKT if problem.identity_blocks else _ReducedKKT)(problem, z)
@@ -566,8 +579,8 @@ def _stepped(z: Iterate, d: Direction, alpha: float):
 
 
 def _step(problem, z: Iterate, d: Direction, alpha: float):
-    """Predictor trial on d's arc, rejected at the first term above (BETA*mu)^2."""
-    return try_make_iterate(problem, *_stepped(z, d, alpha), screen=z)
+    """Predictor trial on d's arc, None unless ``make_iterate`` accepts it."""
+    return try_make_iterate(problem, *_stepped(z, d, alpha), reference=z)
 
 
 def _meets_stopping_rule(problem, z: Iterate, d: Direction, alpha: float,
@@ -590,23 +603,23 @@ class PredictorOutcome:
     trials: int = 0  # trial points evaluated by the search
 
 
-def predictor_step(problem, z: Iterate, alpha_init=None,
-                   params: SolverParams | None = None) -> PredictorOutcome:
+def predictor_step(problem, z: Iterate, alpha_init: float | None,
+                   params: SolverParams) -> PredictorOutcome:
     """The first step of STEP_SCHEDULE whose trial on the predictor arc is within BETA.
 
     A trial is accepted when the tau term and each cone factor's term
     psi_i^T H_i^{-1} psi_i are each at most (BETA*mu)^2 (``Iterate.proximity``),
     not their sum: the per-factor proximity of Coey, Kapelevich and Vielma
     (Math. Prog. Comp. 2023). Trials sit at z + alpha d + alpha^2 d_adj
-    (``newton_direction``), and each is evaluated by ``make_iterate`` with z
-    as its reference: the screen of the factors with at least
-    ``wsos.SCREEN_MIN_U`` points, then one walk over the factors that stops
-    at the first term above (BETA*mu)^2, before the later factors' barriers
-    and Hessians. That changes no step.
+    (``newton_direction``), and each is evaluated and accepted or rejected
+    by ``make_iterate`` with z as its reference: the screen of the
+    ``screened`` factors, then one walk over the factors that stops at the
+    first term that fails, before the later factors' barriers and Hessians.
+    That changes no step.
 
-    With ``params``, the stopping rule is decided first, on the stepped
-    points alone: the schedule is scanned from its top entry for as long as
-    the point has tau, kappa > 0 and ``classify_point`` gives it a status.
+    The stopping rule of ``params`` is decided first, on the stepped points
+    alone: the schedule is scanned from its top entry for as long as the
+    point has tau, kappa > 0 and ``classify_point`` gives it a status.
     If that run of entries is not empty, its shortest entry is the first
     trial, so a last step does not push mu past the tolerance, toward
     Hessians singular to working precision. Otherwise, or when that trial
@@ -620,15 +633,14 @@ def predictor_step(problem, z: Iterate, alpha_init=None,
     if direction.norm() == 0.0:
         return PredictorOutcome(z, 0.0, True)
     run = 0
-    if params is not None:
-        while (run < len(STEP_SCHEDULE)
-               and _meets_stopping_rule(problem, z, direction, STEP_SCHEDULE[run], params)):
-            run += 1
+    while (run < len(STEP_SCHEDULE)
+           and _meets_stopping_rule(problem, z, direction, STEP_SCHEDULE[run], params)):
+        run += 1
     above = 0 if alpha_init is None else sum(a > alpha_init for a in STEP_SCHEDULE)
     steps = STEP_SCHEDULE[run - 1:run] + STEP_SCHEDULE[max(above - 2, run):]
     for trials, alpha in enumerate(steps, 1):
         trial = _step(problem, z, direction, alpha)
-        if trial is not None and trial.proximity <= BETA * trial.mu:
+        if trial is not None:
             return PredictorOutcome(trial, alpha, False, trials)
     return PredictorOutcome(z, 0.0, True, len(steps))
 

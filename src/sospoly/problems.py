@@ -96,6 +96,9 @@ class PolySpec:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[1] != self.n:
+            raise ValueError(f"polynomial in {self.n} variables evaluated at "
+                             f"{points.shape[1]}-dimensional points")
         if self.kind == "builtin":
             return _BUILTINS[self.name][0](points)
         if self.kind == "chebyshev":

@@ -47,6 +47,10 @@ def diag_quadform(B: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", B @ S, B)
 
 
+# smallest factor size U at which the factor is ``screened``
+SCREEN_MIN_U = 360
+
+
 class InterpWSOSCone:
     """Dual WSOS cone at U interpolation points.
 
@@ -81,6 +85,18 @@ class InterpWSOSCone:
     def nu(self) -> int:
         """Barrier parameter: sum of block dimensions L_i."""
         return sum(self.dims)
+
+    @property
+    def screened(self) -> bool:
+        """Whether a predictor trial screens this factor before its Hessian.
+
+        The screen (``BarrierEval.inv_quadform_lower_bound``) pays off from
+        SCREEN_MIN_U points. At n=1, L ~ U/2 makes its O(sum_i L_i^2 U)
+        bound cost about half a Hessian stage, so on small factors it cost
+        more than it spared (envelope-1d, U = 201: 187 screen calls sparing
+        40 factor Hessian stages), while envelope-3d (U = 455) keeps it.
+        """
+        return self.U >= SCREEN_MIN_U
 
     def lambda_op(self, i: int, x: np.ndarray) -> np.ndarray:
         """Lambda_i(x) = Ptilde_i^T diag(x) Ptilde_i, symmetric L_i x L_i."""
@@ -162,7 +178,7 @@ class BarrierEval:
         """g = -sum_i colsum(V_i∘V_i), O(sum_i L_i U): no Hessian is formed."""
         grad = np.zeros(self.cone.U)
         for V in self._halves:
-            grad -= np.einsum("ij,ij->j", V, V)  # as inv_quadform_lower_bound sums it
+            grad -= np.einsum("ij,ij->j", V, V)
         self._gradient = grad
 
     def _form_hessian(self):
@@ -257,14 +273,13 @@ class BarrierEval:
         rounding in which the formed Hessian, whose factor gives the exact
         norm, differs from that blockwise form along w. The bound is taken
         for w = reference.hess_inv_apply(psi), tight when the reference
-        factor is close to H + eps I. g is the formed gradient, the column
-        sums -sum_i colsum(V_i∘V_i); diag H is sum_i colsum(V_i∘V_i)^2, equal
-        to the formed one up to rounding, so a caller comparing the bound
-        with a threshold needs a small relative margin.
+        factor is close to H + eps I. psi is ``centrality``'s, from the
+        formed gradient; diag H is sum_i colsum(V_i∘V_i)^2, equal to the
+        formed one up to rounding, so a caller comparing the bound with a
+        threshold needs a small relative margin.
         """
-        diag_q = [np.einsum("ij,ij->j", V, V) for V in self._halves]
-        diag_h = sum(d * d for d in diag_q)
-        psi = s - mu * sum(diag_q)
+        diag_h = sum(np.einsum("ij,ij->j", V, V) ** 2 for V in self._halves)
+        psi = s + mu * self.gradient
         w = reference.hess_inv_apply(psi)
         w_psi = float(w @ psi)
         if w_psi == 0.0:
@@ -312,17 +327,8 @@ def build_cone(pts: PointSet, weights, degs) -> InterpWSOSCone:
     return InterpWSOSCone(blocks, specs)
 
 
-# smallest factor size U at which a predictor trial screens the factor
-# before its Hessian (hsd.make_iterate), decided factor by factor. At n=1,
-# L ~ U/2 makes the screen's O(sum_i L_i^2 U) bound cost about half a
-# Hessian stage, so on small factors it cost more than it spared
-# (envelope-1d, U = 201: 187 screen calls sparing 40 factor Hessian
-# stages), while envelope-3d (U = 455) keeps it
-SCREEN_MIN_U = 360
-
-
 class ProductCone:
-    """Cartesian product of InterpWSOSCone factors, concatenated coordinates."""
+    """Cartesian product of cone factors (``hsd``'s contract), concatenated coordinates."""
 
     def __init__(self, factors):
         self.factors = list(factors)
@@ -341,15 +347,14 @@ class ProductCone:
     def barrier(self, x: np.ndarray) -> "ProductBarrierEval":
         x = np.asarray(x, dtype=float)
         evals = [f.barrier(x[sl]) for f, sl in zip(self.factors, self.slices())]
-        return ProductBarrierEval(self, x, evals)
+        return ProductBarrierEval(self, evals)
 
 
 class ProductBarrierEval:
     """Blockwise barrier data for a product cone."""
 
-    def __init__(self, cone: ProductCone, x: np.ndarray, factor_evals):
+    def __init__(self, cone: ProductCone, factor_evals):
         self.cone = cone
-        self.x = x
         self.factor_evals = factor_evals
         self.value = sum(e.value for e in factor_evals)
 

@@ -1,6 +1,5 @@
 """Shared fixtures: the expensive benchmark solves are done once per session."""
 
-import math
 import os
 import time
 
@@ -79,25 +78,20 @@ def ray_search_finals():
     """{k: (problem, final iterate)} of build_envelope(1, 5, k, seed=1) at
     tolerance 1e-8, k = 2 and 3, solved with the predictor and the
     corrector stepping along the ray z + alpha d (adjustment right-hand
-    sides zero) and the predictor without the stopping rule: it takes the
-    first accepted step of the schedule, with no probe for the shortest
-    step that still meets the tolerance. Such a final
+    sides zero) and the stopping rule never met by a stepped point: the
+    predictor takes the first accepted step of the schedule, with no probe
+    for the shortest step that still meets the tolerance. Such a final
     step overshoots the tolerance, so the final iterates have Hessians
     singular to working precision, with eigenvalues of the formed sum below
     the barrier's diagonal shift."""
-    predictor_step = sp.hsd.predictor_step
-
     def zero_rhs(problem, z, d, predictor):
         k, N = problem.A.shape
         return np.zeros(k), np.zeros(N), 0.0, np.zeros(N), 0.0
 
-    def full_search(problem, z, alpha_init=None, params=None):
-        return predictor_step(problem, z, alpha_init)
-
     finals = {}
     with pytest.MonkeyPatch.context() as m:
         m.setattr(sp.hsd, "_adjustment_rhs", zero_rhs)
-        m.setattr(sp.hsd, "predictor_step", full_search)
+        m.setattr(sp.hsd, "_meets_stopping_rule", lambda *args: False)
         for k in (2, 3):
             problem = sp.build_envelope(1, 5, k, seed=1).problem
             result = sp.solve(problem, sp.SolverParams(tol_gap=1e-8, tol_infeas=1e-8))
@@ -155,14 +149,14 @@ def unscreened_trials(monkeypatch):
     """Predictor trials that skip the screen, as small factors' do, whatever
     the factor size: each factor forms its exact term in turn, for tests
     that inject faults by call order."""
-    monkeypatch.setattr(sp.wsos, "SCREEN_MIN_U", math.inf)
+    monkeypatch.setattr(sp.wsos.InterpWSOSCone, "screened", False)
 
 
 @pytest.fixture
 def screened_trials(monkeypatch):
     """Predictor trials screened before their Hessians, as large factors'
     are, whatever the factor size."""
-    monkeypatch.setattr(sp.wsos, "SCREEN_MIN_U", 0)
+    monkeypatch.setattr(sp.wsos.InterpWSOSCone, "screened", True)
 
 
 @pytest.fixture

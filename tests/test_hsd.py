@@ -42,8 +42,13 @@ def trivial_problem():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        SolverParams(tol_gap=2.0)
+    # a tolerance that is not a real number in (0, 1) is refused by name,
+    # not by a TypeError from the range comparison
+    for name in ("tol_gap", "tol_infeas"):
+        for bad in (2.0, 0.0, None, "1e-8", True, math.nan):
+            with pytest.raises(ValueError, match=name):
+                SolverParams(**{name: bad})
+    assert SolverParams(tol_gap=np.float64(1e-6)).tol_gap == 1e-6
     # an iteration limit the loop's count can never equal is refused:
     # max_iters=2.5 would solve on to Optimal where 2 stops at the limit
     for bad in (-1, 2.5, None, "3", True):
@@ -69,6 +74,16 @@ def test_dependent_contradictory_rows_rejected():
     A = np.vstack([np.ones(5)] * 3)
     with pytest.raises(ValueError, match="dependent"):
         ConicProblem(A, np.array([1.0, 2.0, 3.0]), np.ones(5), cone)
+
+
+def test_problem_dimension_errors():
+    cone = sp.build_cone(sp.cheb2_points(4), [ones_weight], [2])  # U = 5
+    with pytest.raises(ValueError, match="inconsistent dimensions"):
+        ConicProblem(np.ones((1, 5)), np.ones(2), np.ones(5), cone)
+    with pytest.raises(ValueError, match="inconsistent dimensions"):
+        ConicProblem(np.ones((1, 5)), np.ones(1), np.ones(4), cone)
+    with pytest.raises(ValueError, match="cone dimension"):
+        ConicProblem(np.ones((1, 6)), np.ones(1), np.ones(6), cone)
 
 
 def test_identity_stack_skips_the_rank_check(monkeypatch):
@@ -115,9 +130,36 @@ def test_mu_scales_quadratically():
     assert abs(scaled.mu - 4.0 * z.mu) <= 1e-12
 
 
+def test_negative_complementarity_is_outside_the_interior():
+    # x's = nu at the centered start, so -s makes mu = (1 - nu) / (nu + 1) < 0
+    problem = small_problem()
+    z = initial_point(problem)
+    assert problem.cone.nu > 1
+    with pytest.raises(wsos.NotInteriorError, match="complementarity gap"):
+        make_iterate(problem, z.x, z.tau, z.y, -z.s, z.kappa)
+    assert hsd.try_make_iterate(problem, z.x, z.tau, z.y, -z.s, z.kappa) is None
+
+
+def test_start_outside_the_interior_fails_before_the_first_iteration(monkeypatch):
+    # every cone factor's Hessian Cholesky fails, the start's included
+    problem = small_problem()
+    U = problem.cone.factors[0].U
+    cholesky = np.linalg.cholesky
+
+    def fail_hessians(a):
+        if a.shape == (U, U):
+            raise np.linalg.LinAlgError("forced")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail_hessians)
+    r = sp.solve(problem)
+    assert r.status == hsd.NUMERICAL_FAILURE and r.iterations == 0 and r.trace == []
+    assert r.message == "barrier Hessian not positive definite"
+
+
 def test_neighborhood_norm_matches_dense_formula():
     problem = small_problem(seed=5)
-    z = predictor_step(problem, initial_point(problem)).iterate
+    z = predictor_step(problem, initial_point(problem), None, SolverParams()).iterate
     H = scipy.linalg.block_diag(*(e.hessian for e in z.barrier.factor_evals))
     Hbar = np.zeros((H.shape[0] + 1, H.shape[0] + 1))
     Hbar[:-1, :-1] = H
@@ -371,6 +413,28 @@ def test_identity_blocks_apply_A_by_structure(k):
             assert np.all(np.abs(problem.matvec(x) - dense) <= bound)
 
 
+@pytest.mark.parametrize("path", ["lu", "null_space"])
+def test_non_finite_newton_solve_is_a_numerical_failure(monkeypatch, path):
+    # the reduced solve returns NaN on either path: the first iteration's
+    # predictor direction raises, and the solve ends NumericalFailure
+    if path == "lu":
+        problem, lu_solve = trivial_problem(), scipy.linalg.lu_solve
+        monkeypatch.setattr(scipy.linalg, "lu_solve",
+                            lambda *args, **kw: np.full_like(lu_solve(*args, **kw), np.nan))
+    else:
+        problem, dpotrs = small_problem(), scipy.linalg.lapack.dpotrs
+
+        def nan_solve(*args, **kw):
+            sol, info = dpotrs(*args, **kw)
+            return np.full_like(sol, np.nan), info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrs", nan_solve)
+    assert problem.identity_blocks == (path == "null_space")
+    r = sp.solve(problem)
+    assert r.status == hsd.NUMERICAL_FAILURE and r.iterations == 1
+    assert r.message == "reduced Newton solve produced non-finite values"
+
+
 def test_unknown_rhs_mode():
     problem = trivial_problem()
     with pytest.raises(ValueError):
@@ -383,7 +447,7 @@ def test_unknown_rhs_mode():
 
 def test_predictor_accepts_reasonable_step():
     problem = sp.build_envelope(1, 5, 2, seed=0).problem
-    out = predictor_step(problem, initial_point(problem))
+    out = predictor_step(problem, initial_point(problem), None, SolverParams())
     assert not out.stalled
     assert out.alpha >= 0.01
     assert out.iterate.mu < 1.0
@@ -396,7 +460,7 @@ def _solve_recording(problem, monkeypatch):
     predicted, corrected = [], []
     search, phase = hsd.predictor_step, hsd.corrector_phase
 
-    def recording_search(problem, z, alpha_init=None, params=None):
+    def recording_search(problem, z, alpha_init, params):
         out = search(problem, z, alpha_init, params)
         predicted.append(out.iterate)
         return out
@@ -450,7 +514,7 @@ def test_predictor_zero_direction_stalls(monkeypatch):
     zero = hsd.Direction(np.zeros(z0.x.size), 0.0, np.zeros(problem.A.shape[0]),
                          np.zeros(z0.x.size), 0.0, 0.0)
     monkeypatch.setattr(hsd, "newton_direction", lambda problem, z, rhs_mode: zero)
-    out = predictor_step(problem, z0)
+    out = predictor_step(problem, z0, None, SolverParams())
     assert out.stalled and out.iterate is z0
 
 
@@ -459,6 +523,20 @@ def test_step_schedule_descends_from_the_cap_to_the_floor():
     assert len(schedule) >= 1 and schedule[0] == hsd.ALPHA_CAP
     assert all(a > b for a, b in zip(schedule, schedule[1:]))
     assert schedule[-1] >= hsd.ALPHA_MIN > schedule[-1] / 2
+
+
+def test_nan_factor_term_is_rejected(monkeypatch):
+    # a NaN term is not known to be within BETA mu, so make_iterate rejects
+    # every trial whose tau term passes, and the search stalls after trying
+    # the whole schedule
+    problem = sp.build_envelope(1, 5, 2, seed=1).problem
+    z0 = initial_point(problem)
+    centrality = wsos.BarrierEval.centrality
+    monkeypatch.setattr(wsos.BarrierEval, "centrality",
+                        lambda ev, s, mu: (centrality(ev, s, mu)[0], math.nan))
+    out = predictor_step(problem, z0, None, SolverParams())
+    assert out.stalled and out.iterate is z0
+    assert out.trials == len(hsd.STEP_SCHEDULE)
 
 
 def _scheduled_search(monkeypatch, accepts, alpha_init=None, meets=lambda a: False):
@@ -477,7 +555,7 @@ def _scheduled_search(monkeypatch, accepts, alpha_init=None, meets=lambda a: Fal
         tried.append(alpha)
         if not accepts(alpha):
             return None
-        return SimpleNamespace(alpha=alpha, mu=1.0, proximity=0.0)
+        return SimpleNamespace(alpha=alpha)
 
     monkeypatch.setattr(hsd, "_meets_stopping_rule", probe)
     monkeypatch.setattr(hsd, "_step", step)
@@ -567,7 +645,7 @@ def _predict(problem, z, monkeypatch, screen):
     with monkeypatch.context() as m:
         m.setattr(wsos.BarrierEval, "inv_quadform_lower_bound", recording)
         m.setattr(wsos.InterpWSOSCone, "barrier", counting)
-        return predictor_step(problem, z), verdicts, len(evaluated)
+        return predictor_step(problem, z, None, SolverParams()), verdicts, len(evaluated)
 
 
 def _first_screened_iterate(problem, iterations, monkeypatch, late):
@@ -623,9 +701,9 @@ def test_every_screen_rejection_is_a_rejected_trial(monkeypatch, screened_trials
     trial_at = hsd.try_make_iterate
     bound = wsos.BarrierEval.inv_quadform_lower_bound
 
-    def remembering(problem, x, tau, y, s, kappa, screen=None):
+    def remembering(problem, x, tau, y, s, kappa, reference=None):
         points.append((x, tau, s, kappa))
-        return trial_at(problem, x, tau, y, s, kappa, screen)
+        return trial_at(problem, x, tau, y, s, kappa, reference)
 
     def recording(self, s, mu, reference):
         value = bound(self, s, mu, reference)
@@ -655,9 +733,9 @@ def _counting_screen_calls(monkeypatch):
 
 
 def test_small_factor_trials_skip_the_screen(monkeypatch):
-    # below SCREEN_MIN_U points no trial of a whole solve is screened
+    # no trial of a whole solve screens a factor that is not screened
     problem = sp.build_envelope(1, 5, 3, seed=1).problem
-    assert all(f.U < wsos.SCREEN_MIN_U for f in problem.cone.factors)
+    assert not any(f.screened for f in problem.cone.factors)
     calls = _counting_screen_calls(monkeypatch)
     result = sp.solve(problem)
     assert result.status == hsd.OPTIMAL and result.trials > result.iterations
@@ -695,7 +773,7 @@ def test_small_trial_stops_at_the_first_factor_that_fails(envelope_small_k3, mon
     problem = envelope_small_k3.built.problem
     slices = problem.cone.slices()
     assert len(slices) == 3
-    assert all(f.U < wsos.SCREEN_MIN_U for f in problem.cone.factors)
+    assert not any(f.screened for f in problem.cone.factors)
     factor_barrier = wsos.InterpWSOSCone.barrier
     form = wsos.BarrierEval._form_hessian
     bound = wsos.BarrierEval.inv_quadform_lower_bound
@@ -736,7 +814,7 @@ def test_small_trial_stops_at_the_first_factor_that_fails(envelope_small_k3, mon
                     m.setattr(wsos.InterpWSOSCone, "barrier", counting)
                     m.setattr(wsos.BarrierEval, "_form_hessian", forming)
                     m.setattr(wsos.BarrierEval, "inv_quadform_lower_bound", screening)
-                    trial = hsd.try_make_iterate(problem, *point, screen=z)
+                    trial = hsd.try_make_iterate(problem, *point, reference=z)
                 assert len(screened_out) == (len(evaluated) if screened else 0)
                 if any(screened_out):
                     assert failing and trial is None and formed == []
@@ -822,7 +900,7 @@ def test_adjustment_keeps_the_residual_shrink_on_the_arc(kind):
         assert adj is not None and adj.residual <= 1e-9
         assert np.linalg.norm(_linear_rows(problem, adj)) <= 1e-9
         r = _residual_vector(problem, (z.x, z.tau, z.y, z.s, z.kappa))
-        out = predictor_step(problem, z)
+        out = predictor_step(problem, z, None, SolverParams())
         for alpha in (0.1, 0.5, out.alpha, hsd.ALPHA_CAP):
             moved = _residual_vector(problem, hsd._stepped(z, d, alpha))
             assert np.linalg.norm(moved - (1.0 - alpha) * r) <= 1e-9 * (1 + np.linalg.norm(r))
@@ -834,7 +912,7 @@ def _corrector_starts(problem, monkeypatch):
     iterates = []
     predictor = hsd.predictor_step
 
-    def recording(problem, z, alpha_init=None, params=None):
+    def recording(problem, z, alpha_init, params):
         out = predictor(problem, z, alpha_init, params)
         iterates.append(out.iterate)
         return out
@@ -892,7 +970,7 @@ def _recorded_searches(monkeypatch, step=None):
     predictor, probe = hsd.predictor_step, hsd._meets_stopping_rule
     step = step or hsd._step
 
-    def recording_predictor(problem, z, alpha_init=None, params=None):
+    def recording_predictor(problem, z, alpha_init, params):
         searches.append(SimpleNamespace(probed=[], tried=[]))
         searches[-1].out = predictor(problem, z, alpha_init, params)
         return searches[-1].out
@@ -1034,12 +1112,59 @@ def test_corrector_noop_inside_eta():
     assert steps == 0 and z is z0
 
 
+def test_corrector_halves_a_step_that_leaves_the_interior(monkeypatch):
+    # the full corrector step is refused as outside the interior: the step
+    # is halved, and the phase's one step lands on the point at 1/2
+    problem = sp.build_envelope(1, 5, 2, seed=1).problem
+    z = predictor_step(problem, initial_point(problem), None, SolverParams()).iterate
+    assert not z.in_neighborhood(hsd.ETA)
+    d = newton_direction(problem, z, "corrector")
+    half = hsd.try_make_iterate(problem, *hsd._stepped(z, d, 0.5))
+    trial_at, stepped = hsd.try_make_iterate, hsd._stepped
+    alphas = []
+
+    def recording(z, d, alpha):
+        alphas.append(alpha)
+        return stepped(z, d, alpha)
+
+    def first_refused(problem, *point, reference=None):
+        return None if len(alphas) == 1 else trial_at(problem, *point, reference=reference)
+
+    monkeypatch.setattr(hsd, "_stepped", recording)
+    monkeypatch.setattr(hsd, "try_make_iterate", first_refused)
+    monkeypatch.setattr(hsd, "R_C", 1)
+    out, steps = corrector_phase(problem, z)
+    assert steps == 1 and alphas == [hsd.ALPHA_C, hsd.ALPHA_C / 2]
+    assert np.array_equal(out.x, half.x) and np.array_equal(out.s, half.s)
+    assert out.nbhd_norm == half.nbhd_norm
+
+
+def test_corrector_that_never_regains_the_interior_fails(monkeypatch):
+    # every corrector step is refused: the step halves down to ALPHA_MIN,
+    # and the solve ends NumericalFailure with the corrector's message
+    trial_at = hsd.try_make_iterate
+    refused = []
+
+    def refuse_corrector_steps(problem, *point, reference=None):
+        if reference is None:  # not a predictor trial
+            refused.append(1)
+            return None
+        return trial_at(problem, *point, reference=reference)
+
+    monkeypatch.setattr(hsd, "try_make_iterate", refuse_corrector_steps)
+    r = sp.solve(sp.build_envelope(1, 5, 2, seed=1).problem)
+    assert r.status == hsd.NUMERICAL_FAILURE
+    assert r.message == "corrector step lost the cone interior"
+    halvings = sum(1 for k in range(64) if hsd.ALPHA_C / 2**k >= hsd.ALPHA_MIN)
+    assert len(refused) == halvings and len(r.trace) == r.iterations
+
+
 def test_corrector_recenters_within_r_c():
     problem = sp.build_envelope(1, 5, 2, seed=1).problem
     z = initial_point(problem)
     seen_recenter = False
     for _ in range(6):
-        out = predictor_step(problem, z)
+        out = predictor_step(problem, z, None, SolverParams())
         zp = out.iterate
         if not zp.in_neighborhood(hsd.ETA):
             seen_recenter = True
@@ -1139,7 +1264,7 @@ def test_corrector_miss_is_marked_stalled(perturbed_rows_problem, monkeypatch):
 def test_predictor_stall_ends_solve(monkeypatch):
     problem = small_problem()
 
-    def stalled(problem, z, alpha_init=None, params=None):
+    def stalled(problem, z, alpha_init, params):
         return hsd.PredictorOutcome(z, 0.0, True)
 
     monkeypatch.setattr(hsd, "predictor_step", stalled)
@@ -1186,7 +1311,7 @@ def _solve_to_exit(case, request, monkeypatch):
             raise hsd.SolverError("forced corrector failure")
         return phase(problem, z)
 
-    def predictor(problem, z, alpha_init=None, params=None):
+    def predictor(problem, z, alpha_init, params):
         # the third search runs in full and then reports a stall
         out = search(problem, z, alpha_init, params)
         calls.append(z)
@@ -1281,6 +1406,18 @@ def test_iteration_limit():
     r = sp.solve(problem, SolverParams(max_iters=2))
     assert r.status == hsd.ITERATION_LIMIT
     assert r.iterations == 2
+
+
+def test_vanishing_tau_and_mu_are_ill_posed(monkeypatch):
+    # a predictor iterate with tau and mu below 1e-12 that meets no other
+    # status ends the solve IllPosed
+    problem = trivial_problem()
+    tiny = hsd.Iterate(np.array([1e-14]), 1e-13, np.zeros(1), np.array([1e-14]), 1e-14,
+                       None, 1e-14, np.zeros(1), 0.0, 0.0, 0.0)
+    monkeypatch.setattr(hsd, "predictor_step", lambda problem, z, alpha_init, params:
+                        hsd.PredictorOutcome(tiny, 0.5, False, 1))
+    r = sp.solve(problem)
+    assert r.status == hsd.ILL_POSED and r.final is tiny and r.iterations == 1
 
 
 def test_classify_optimal_matches_result(envelope_small):

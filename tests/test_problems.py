@@ -121,6 +121,12 @@ def test_envelope_input_validation():
     too_big = [chebyshev_poly(1, 12, np.ones(13))]
     with pytest.raises(ValueError):
         build_envelope(1, 5, 1, fs=too_big)
+    # inputs in m variables at n-dimensional points are refused, not
+    # evaluated on the diagonal (m > n) or at the first coordinate (m < n)
+    for n, m in ((1, 2), (2, 1)):
+        fs = random_envelope_inputs(m, 4, 2, 0)
+        with pytest.raises(ValueError, match=f"in {m} variables evaluated at {n}-dimensional"):
+            build_envelope(n, 3, 2, fs=fs)
 
 
 def test_envelope_objective_is_quadrature_functional():

@@ -49,7 +49,7 @@ def test_blas_pinning_without_threadpoolctl(first, keep, want):
 def test_factors_run_on_the_calling_thread(monkeypatch):
     # three factors, screened as large ones are: the solve starts no thread,
     # and every factor's Hessian is formed on the main thread
-    monkeypatch.setattr(wsos, "SCREEN_MIN_U", 0)
+    monkeypatch.setattr(wsos.InterpWSOSCone, "screened", True)
     on_main = []
     form = wsos.BarrierEval._form_hessian
 
@@ -60,7 +60,7 @@ def test_factors_run_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(wsos.BarrierEval, "_form_hessian", recording)
     problem = sp.build_envelope(1, 12, 3, seed=3).problem
     assert len(problem.cone.factors) == 3
-    assert all(f.U >= wsos.SCREEN_MIN_U for f in problem.cone.factors)
+    assert all(f.screened for f in problem.cone.factors)
     before = threading.enumerate()
     assert sp.solve(problem).status == hsd.OPTIMAL
     assert threading.enumerate() == before
